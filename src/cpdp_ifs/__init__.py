@@ -44,7 +44,6 @@ from cpdp_ifs.stats import (
     dpr,
     pearson,
     prf,
-    wilcoxon_exact_oracle,
     wilcoxon_signed_rank,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "run_mix",
     "summarize",
     "train",
-    "wilcoxon_exact_oracle",
     "wilcoxon_signed_rank",
     "zscore",
 ]

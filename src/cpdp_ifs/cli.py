@@ -27,6 +27,7 @@ from cpdp_ifs.experiment import (
     load_config,
     load_projects,
     run_plan,
+    write_boxplot_summary,
 )
 from cpdp_ifs.stats import compare_paired, dpr
 
@@ -54,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="experiment config (JSON)")
     run.add_argument("--out", help="report directory (overrides the config)")
     run.add_argument("--workers", type=int, help="thread pool size (overrides the config)")
-    run.add_argument("--seed", type=int, help="recorded in the manifest; the run is deterministic")
     run.add_argument(
         "--log-filter", action="store_true", help="apply ln(x+1) before normalization"
     )
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise DataFormatError(f"empty file: {path}")
@@ -136,8 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.workers < 1:
             raise ConfigError("workers must be a positive integer")
         updates["workers"] = args.workers
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.log_filter:
         updates["preprocessing"] = dataclasses.replace(config.preprocessing, log_filter=True)
     if updates:
@@ -228,11 +226,10 @@ def _cmd_box(args: argparse.Namespace) -> int:
     if bool(args.csv) == bool(args.results):
         raise ConfigError("box needs exactly one of --csv or --results")
     if args.results:
-        path = str(Path(args.results) / "best_per_target.csv")
-        group_col, value_col = "method", "f_measure"
-    else:
-        path = args.csv
-        group_col, value_col = args.group_col, args.value_col
+        # The report holds this table, computed from the unrounded f-measures.
+        sys.stdout.write((Path(args.results) / "boxplot_summary.csv").read_text(encoding="utf-8"))
+        return EXIT_OK
+    path, group_col, value_col = args.csv, args.group_col, args.value_col
     header, rows = _read_csv_rows(path)
     for column in (group_col, value_col):
         if column not in header:
@@ -246,37 +243,7 @@ def _cmd_box(args: argparse.Namespace) -> int:
                 f"{path}: non-numeric value {row[value_col]!r} at data row {i}"
             ) from None
         groups.setdefault(row[group_col], []).append(value)
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "group",
-            "n",
-            "minimum",
-            "first_quartile",
-            "median",
-            "third_quartile",
-            "maximum",
-            "lower_whisker",
-            "upper_whisker",
-            "outliers",
-        ]
-    )
-    for summary in emit_boxplot_summary({g: groups[g] for g in sorted(groups)}):
-        writer.writerow(
-            [
-                summary.group,
-                summary.n,
-                f"{summary.minimum:.6f}",
-                f"{summary.first_quartile:.6f}",
-                f"{summary.median:.6f}",
-                f"{summary.third_quartile:.6f}",
-                f"{summary.maximum:.6f}",
-                f"{summary.lower_whisker:.6f}",
-                f"{summary.upper_whisker:.6f}",
-                ";".join(f"{v:.6f}" for v in summary.outliers),
-            ]
-        )
+    write_boxplot_summary(sys.stdout, emit_boxplot_summary({g: groups[g] for g in sorted(groups)}))
     return EXIT_OK
 
 

@@ -145,7 +145,7 @@ def summarize(project: Project) -> DatasetSummary:
 
 
 def _read_rows(path: Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
 
 
@@ -281,7 +281,7 @@ def load_arff(
     data_lines: list[str] = []
     saw_relation = False
     in_data = False
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.strip()
             if not line or line.startswith("%"):

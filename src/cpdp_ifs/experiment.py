@@ -18,7 +18,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class ExperimentConfig:
     learner: LearnerParams = LearnerParams()
     output_dir: str = "results"
     workers: int = 1
-    repeats: int = 1
-    seed: int | None = None
     base_dir: Path | None = None
 
     def to_dict(self) -> dict:
@@ -111,8 +109,6 @@ class ExperimentConfig:
             },
             "output_dir": self.output_dir,
             "workers": self.workers,
-            "repeats": self.repeats,
-            "seed": self.seed,
         }
 
 
@@ -121,16 +117,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_CONFIG_KEYS = {
-    "datasets",
-    "methods",
-    "preprocessing",
-    "learner",
-    "output_dir",
-    "workers",
-    "repeats",
-    "seed",
-}
+_CONFIG_KEYS = {"datasets", "methods", "preprocessing", "learner", "output_dir", "workers"}
 _DATASET_KEYS = {"name", "path", "family", "format", "label_column", "feature_names", "alias_map"}
 
 
@@ -211,12 +198,6 @@ def parse_config(payload: object, base_dir: Path | None = None) -> ExperimentCon
     workers = payload.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
-    repeats = payload.get("repeats", 1)
-    if not isinstance(repeats, int) or repeats < 1:
-        raise ConfigError("repeats must be a positive integer")
-    seed = payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed must be an integer or null")
 
     return ExperimentConfig(
         datasets=datasets,
@@ -225,8 +206,6 @@ def parse_config(payload: object, base_dir: Path | None = None) -> ExperimentCon
         learner=learner,
         output_dir=str(payload.get("output_dir", "results")),
         workers=workers,
-        repeats=repeats,
-        seed=seed,
         base_dir=base_dir,
     )
 
@@ -349,36 +328,25 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
     return tuple(summaries)
 
 
-def select_best_per_target(rows: Iterable[Mapping]) -> dict[tuple[str, str], Mapping]:
-    """Best row per (method, target): highest f_measure, ties to the
+def best_per_target(
+    outcomes: Iterable[PredictionOutcome],
+) -> dict[tuple[str, str], PredictionOutcome]:
+    """Best outcome per (method, target): highest f-measure, ties to the
     lexicographically smallest source name."""
-    best: dict[tuple[str, str], Mapping] = {}
-    for row in rows:
-        key = (str(row["method"]), str(row["target"]))
-        f_value = float(row["f_measure"])
+    best: dict[tuple[str, str], PredictionOutcome] = {}
+    for outcome in outcomes:
+        key = (outcome.method.value, outcome.target_name)
         current = best.get(key)
         if (
             current is None
-            or f_value > float(current["f_measure"])
-            or (f_value == float(current["f_measure"]) and str(row["source"]) < str(current["source"]))
+            or outcome.f_measure > current.f_measure
+            or (
+                outcome.f_measure == current.f_measure
+                and outcome.source_name < current.source_name
+            )
         ):
-            best[key] = row
+            best[key] = outcome
     return best
-
-
-def outcome_row(outcome: PredictionOutcome) -> dict:
-    return {
-        "method": outcome.method.value,
-        "source": outcome.source_name,
-        "target": outcome.target_name,
-        "tp": outcome.confusion.tp,
-        "fp": outcome.confusion.fp,
-        "tn": outcome.confusion.tn,
-        "fn": outcome.confusion.fn,
-        "precision": outcome.precision,
-        "recall": outcome.recall,
-        "f_measure": outcome.f_measure,
-    }
 
 
 @dataclass(frozen=True)
@@ -459,19 +427,6 @@ def _derive_mix(
     return outcomes, failures
 
 
-def _best_outcomes(
-    outcomes: Sequence[PredictionOutcome],
-) -> dict[tuple[str, str], PredictionOutcome]:
-    by_key = {
-        (o.method.value, o.target_name, o.source_name): o for o in outcomes
-    }
-    chosen = select_best_per_target(outcome_row(o) for o in outcomes)
-    return {
-        key: by_key[(row["method"], row["target"], row["source"])]
-        for key, row in chosen.items()
-    }
-
-
 def _build_comparisons(
     methods: Sequence[Method], best: dict[tuple[str, str], PredictionOutcome]
 ) -> tuple[ComparisonRow, ...]:
@@ -510,6 +465,7 @@ def _build_comparisons(
 
 def analyze_dpr(
     outcomes: Sequence[PredictionOutcome],
+    best: Mapping[tuple[str, str], PredictionOutcome],
     summaries: Mapping[str, DatasetSummary],
 ) -> tuple[DprRow, ...]:
     """Relate the defect proneness ratio to prediction quality per target.
@@ -517,9 +473,9 @@ def analyze_dpr(
     For each target with a best pure run: the DPR of that pure source, the
     gain of the fused prediction over it, the below-threshold flag, and the
     correlation of DPR with profile-run f-measure across all profile
-    sources that scored the target.
+    sources that scored the target. ``best`` is :func:`best_per_target`
+    over ``outcomes``.
     """
-    best = _best_outcomes(outcomes)
     pure_targets = sorted({t for (m, t) in best if m == Method.CPDP_PURE.value})
     rows = []
     for target in pure_targets:
@@ -595,19 +551,22 @@ def run_plan(
 
     outcomes, failures, planned_counts = _execute_pairs(config, by_name)
 
-    best_map = _best_outcomes(outcomes)
+    best_map = best_per_target(outcomes)
     if Method.MIX in config.methods:
         mix_outcomes, mix_failures = _derive_mix(best_map, by_name)
         planned_counts[Method.MIX.value] = len(mix_outcomes) + len(mix_failures)
         outcomes = outcomes + mix_outcomes
         failures = failures + mix_failures
-        best_map = _best_outcomes(outcomes)
+        # One fused outcome per target, so each is that target's best mix.
+        best_map.update(((Method.MIX.value, o.target_name), o) for o in mix_outcomes)
 
     best = tuple(
         sorted(best_map.values(), key=lambda o: (o.method.value, o.target_name, o.source_name))
     )
     comparisons = _build_comparisons(config.methods, best_map)
-    dpr_rows = analyze_dpr(outcomes, summaries) if Method.CPDP_PURE in config.methods else ()
+    dpr_rows = (
+        analyze_dpr(outcomes, best_map, summaries) if Method.CPDP_PURE in config.methods else ()
+    )
 
     groups: dict[str, list[float]] = {}
     for outcome in best:
@@ -642,12 +601,52 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _write_table(
+    handle: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        _write_table(handle, header, rows)
+
+
+def write_boxplot_summary(handle: TextIO, boxplots: Iterable[BoxplotSummary]) -> None:
+    """The ``boxplot_summary.csv`` table, also printed by ``cpdp-ifs box``."""
+    _write_table(
+        handle,
+        [
+            "group",
+            "n",
+            "minimum",
+            "first_quartile",
+            "median",
+            "third_quartile",
+            "maximum",
+            "lower_whisker",
+            "upper_whisker",
+            "outliers",
+        ],
+        (
+            [
+                b.group,
+                b.n,
+                b.minimum,
+                b.first_quartile,
+                b.median,
+                b.third_quartile,
+                b.maximum,
+                b.lower_whisker,
+                b.upper_whisker,
+                ";".join(f"{v:.6f}" for v in b.outliers),
+            ]
+            for b in boxplots
+        ),
+    )
 
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
@@ -735,36 +734,8 @@ def write_report(bundle: ReportBundle, out_dir: Path) -> None:
         ),
     )
 
-    _write_csv(
-        out_dir / "boxplot_summary.csv",
-        [
-            "group",
-            "n",
-            "minimum",
-            "first_quartile",
-            "median",
-            "third_quartile",
-            "maximum",
-            "lower_whisker",
-            "upper_whisker",
-            "outliers",
-        ],
-        (
-            [
-                b.group,
-                b.n,
-                b.minimum,
-                b.first_quartile,
-                b.median,
-                b.third_quartile,
-                b.maximum,
-                b.lower_whisker,
-                b.upper_whisker,
-                ";".join(f"{v:.6f}" for v in b.outliers),
-            ]
-            for b in bundle.boxplots
-        ),
-    )
+    with open(out_dir / "boxplot_summary.csv", "w", newline="", encoding="utf-8") as handle:
+        write_boxplot_summary(handle, bundle.boxplots)
 
     _write_csv(
         out_dir / "failures.csv",

@@ -207,16 +207,21 @@ def predict_proba(model: Model, features: np.ndarray) -> float | np.ndarray:
     raise ValueError("features must be a vector or a matrix")
 
 
+def apply_threshold(probabilities: float | np.ndarray, threshold: float) -> int | np.ndarray:
+    """Predict 1 exactly when the probability reaches the decision threshold."""
+    if np.isscalar(probabilities):
+        return int(probabilities >= threshold)
+    return (probabilities >= threshold).astype(np.int8)
+
+
 def classify(
     model: Model, features: np.ndarray, threshold: float | None = None
 ) -> int | np.ndarray:
-    """Predict 1 exactly when the probability reaches the decision threshold."""
+    """:func:`apply_threshold` on the model's probabilities; the threshold
+    defaults to the model's decision threshold."""
     if threshold is None:
         threshold = model.params.decision_threshold
-    prob = predict_proba(model, features)
-    if np.isscalar(prob):
-        return int(prob >= threshold)
-    return (prob >= threshold).astype(np.int8)
+    return apply_threshold(predict_proba(model, features), threshold)
 
 
 def coefficient_magnitudes(model: Model) -> tuple[tuple[str, float], ...]:

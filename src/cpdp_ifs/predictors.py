@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from cpdp_ifs.corpus import Project, intersect_features
-from cpdp_ifs.learner import LearnerParams, Model, classify, predict_proba, train
+from cpdp_ifs.learner import LearnerParams, Model, apply_threshold, predict_proba, train
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
 from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_project
 from cpdp_ifs.stats import ConfusionMatrix, prf
@@ -76,7 +76,7 @@ def _train_and_classify(
     target_ready, _ = preprocess_matrix(target_matrix, preprocessing)
     model = train(source_ready, source_labels, feature_names, params)
     probabilities = predict_proba(model, target_ready)
-    predicted = classify(model, target_ready)
+    predicted = apply_threshold(probabilities, model.params.decision_threshold)
     confusion = ConfusionMatrix.from_predictions(target_labels, predicted)
     precision, recall, f_measure = prf(confusion)
     return PredictionOutcome(

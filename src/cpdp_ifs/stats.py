@@ -1,23 +1,20 @@
 """Evaluation metrics and the statistics used to compare prediction methods.
 
-The signed-rank test is implemented twice on purpose: the production path
-uses an integer subset-sum table over doubled midranks, and
-:func:`wilcoxon_exact_oracle` enumerates all sign assignments with its own
-rank computation. Tests hold the two to bit-for-bit agreement, so neither
-implementation can drift to match the other.
+The exact signed-rank test counts sign assignments with an integer
+subset-sum table over doubled midranks. The test suite holds it to
+bit-for-bit agreement with a brute-force enumeration that shares none of
+its code.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 _EXACT_CUTOFF = 12
-_ORACLE_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,9 @@ def cliffs_delta(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _midranks(magnitudes: np.ndarray) -> np.ndarray:
-    return scipy.stats.rankdata(magnitudes, method="average")
+    """1-based ranks, tied values sharing the mean of their positions."""
+    _, inverse, counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -169,53 +168,6 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
     )
 
 
-def wilcoxon_exact_oracle(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Brute-force signed-rank test by enumerating every sign assignment.
-
-    Self-contained on purpose (own midranks, no shared helpers); kept next
-    to the production implementation as its independent cross-check.
-    Returns (W+, two-sided p). Limited to 15 effective pairs.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("paired samples must be one-dimensional, non-empty and equally long")
-    diffs = [float(a - b) for a, b in zip(x, y) if a - b != 0.0]
-    if not diffs:
-        raise ValueError("degenerate pairing: all differences are zero")
-    n = len(diffs)
-    if n > _ORACLE_LIMIT:
-        raise ValueError(f"n too large for exhaustive enumeration (max {_ORACLE_LIMIT})")
-
-    magnitudes = [abs(d) for d in diffs]
-    order = sorted(range(n), key=lambda i: magnitudes[i])
-    ranks = [0.0] * n
-    position = 0
-    while position < n:
-        tied_end = position
-        while (
-            tied_end + 1 < n
-            and magnitudes[order[tied_end + 1]] == magnitudes[order[position]]
-        ):
-            tied_end += 1
-        average_rank = (position + 1 + tied_end + 1) / 2.0
-        for k in range(position, tied_end + 1):
-            ranks[order[k]] = average_rank
-        position = tied_end + 1
-
-    observed = sum(ranks[i] for i in range(n) if diffs[i] > 0)
-    at_most = 0
-    at_least = 0
-    for signs in itertools.product((0, 1), repeat=n):
-        w = sum(ranks[i] for i in range(n) if signs[i])
-        if w <= observed:
-            at_most += 1
-        if w >= observed:
-            at_least += 1
-    p_value = min(1.0, 2.0 * min(at_most, at_least) / 2**n)
-    return observed, p_value
-
-
 @dataclass(frozen=True)
 class ComparisonResult:
     """Paired comparison of two methods: significance plus effect size."""
@@ -267,5 +219,5 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p_value = 2.0 * float(scipy.stats.t.sf(abs(t), n - 2))
+    p_value = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, min(1.0, p_value)

@@ -6,10 +6,13 @@ shared with the implementations under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 
 import numpy as np
+
+_ORACLE_LIMIT = 15
 
 
 def grid_logistic_oracle(
@@ -126,3 +129,60 @@ def reference_indicators(values: list[float]) -> dict[str, float]:
         "excess_kurtosis": kurtosis,
         "variation_ratio": 1.0 - best_count / n,
     }
+
+
+def wilcoxon_exact_oracle(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Brute-force signed-rank test by enumerating every sign assignment.
+
+    Self-contained on purpose (own midranks, no shared helpers), as the
+    independent cross-check of ``cpdp_ifs.stats.wilcoxon_signed_rank``.
+    Returns (W+, two-sided p). Limited to 15 effective pairs.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
+        raise ValueError("paired samples must be one-dimensional, non-empty and equally long")
+    diffs = [float(a - b) for a, b in zip(x, y) if a - b != 0.0]
+    if not diffs:
+        raise ValueError("degenerate pairing: all differences are zero")
+    n = len(diffs)
+    if n > _ORACLE_LIMIT:
+        raise ValueError(f"n too large for exhaustive enumeration (max {_ORACLE_LIMIT})")
+
+    magnitudes = [abs(d) for d in diffs]
+    order = sorted(range(n), key=lambda i: magnitudes[i])
+    ranks = [0.0] * n
+    position = 0
+    while position < n:
+        tied_end = position
+        while (
+            tied_end + 1 < n
+            and magnitudes[order[tied_end + 1]] == magnitudes[order[position]]
+        ):
+            tied_end += 1
+        average_rank = (position + 1 + tied_end + 1) / 2.0
+        for k in range(position, tied_end + 1):
+            ranks[order[k]] = average_rank
+        position = tied_end + 1
+
+    observed = sum(ranks[i] for i in range(n) if diffs[i] > 0)
+    at_most = 0
+    at_least = 0
+    for signs in itertools.product((0, 1), repeat=n):
+        w = sum(ranks[i] for i in range(n) if signs[i])
+        if w <= observed:
+            at_most += 1
+        if w >= observed:
+            at_least += 1
+    p_value = min(1.0, 2.0 * min(at_most, at_least) / 2**n)
+    return observed, p_value
+
+
+def reference_best_sources(rows: list[dict[str, str]]) -> dict[tuple[str, str], str]:
+    """Winning source per (method, target) from ``results.csv`` rows: the
+    highest f_measure, ties to the smallest source name."""
+    ranked = sorted(rows, key=lambda r: (-float(r["f_measure"]), r["source"]))
+    best: dict[tuple[str, str], str] = {}
+    for row in ranked:
+        best.setdefault((row["method"], row["target"]), row["source"])
+    return best

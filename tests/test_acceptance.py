@@ -36,11 +36,10 @@ from cpdp_ifs.stats import (
     cliffs_delta,
     dpr,
     prf,
-    wilcoxon_exact_oracle,
     wilcoxon_signed_rank,
 )
 
-from oracles import grid_logistic_oracle, mc_random_baseline
+from oracles import grid_logistic_oracle, mc_random_baseline, wilcoxon_exact_oracle
 from synth import planted_project
 
 CRITERIA = (

@@ -136,6 +136,13 @@ class TestCompare:
         assert out["n_pairs"] == "4"
         assert out["note"].startswith("exact")
 
+    def test_csv_with_utf8_bom(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("\ufeffa,b\n0.5,0.4\n0.6,0.3\n0.7,0.6\n", encoding="utf-8")
+        code = main(["compare", "--csv", str(path), "--x-col", "a", "--y-col", "b"])
+        assert code == EXIT_OK
+        assert "n_pairs=3" in capsys.readouterr().out
+
     def test_default_columns_are_first_two(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
         path.write_text("a,b\n0.5,0.4\n0.6,0.3\n0.7,0.6\n", encoding="utf-8")
@@ -248,7 +255,9 @@ class TestBox:
     def test_from_results_directory(self, report_dir, capsys):
         code = main(["box", "--results", str(report_dir)])
         assert code == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
+        out = capsys.readouterr().out
+        assert out == (report_dir / "boxplot_summary.csv").read_text(encoding="utf-8")
+        lines = out.strip().splitlines()
         assert lines[0].startswith("group,n,minimum")
         groups = {line.split(",")[0] for line in lines[1:]}
         assert groups == {"cpdp_pure", "ifs_min", "ifs_our", "mix"}
@@ -286,6 +295,11 @@ class TestUsage:
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["ingest"]) == EXIT_CONFIG
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import cpdp_ifs.cli, sys; assert 'scipy.stats' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_console_script_help(self):
         result = subprocess.run(

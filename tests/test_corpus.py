@@ -163,6 +163,13 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="non-finite"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
+    def test_utf8_bom_not_part_of_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b,bug\n1,10,0\n2,20,1\n", encoding="utf-8")
+        project = load_csv(path, FeatureSchema(feature_names=("a",), label_column="bug"))
+        assert project.schema.feature_names == ("a",)
+        assert np.array_equal(project.matrix, [[1], [2]])
+
 
 class TestLoadArff:
     def test_minimal_nominal_class(self, tmp_path):
@@ -248,6 +255,16 @@ class TestLoadArff:
         path.write_text("@relation a\n@attribute x numeric\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="@data"):
             load_arff(path, FeatureSchema(label_column="bug"))
+
+    def test_utf8_bom_before_relation(self, tmp_path):
+        path = tmp_path / "bom.arff"
+        path.write_text(
+            "\ufeff@relation bom\n@attribute a numeric\n@attribute bug {0,1}\n@data\n1,0\n2,1\n",
+            encoding="utf-8",
+        )
+        project = load_arff(path, FeatureSchema(label_column="bug"))
+        assert project.schema.feature_names == ("a",)
+        assert list(project.labels) == [0, 1]
 
     def test_missing_relation(self, tmp_path):
         path = tmp_path / "norel.arff"

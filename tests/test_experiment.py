@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +14,19 @@ from cpdp_ifs.experiment import (
     DatasetSpec,
     ExperimentConfig,
     analyze_dpr,
+    best_per_target,
     config_hash,
     emit_boxplot_summary,
     load_config,
     load_projects,
-    outcome_row,
     parse_config,
     run_plan,
-    select_best_per_target,
 )
 from cpdp_ifs.corpus import summarize
-from cpdp_ifs.predictors import Method, run_cpdp_pure, run_ifs_our, run_mix
+from cpdp_ifs.predictors import Method, PredictionOutcome, run_cpdp_pure, run_ifs_our, run_mix
+from cpdp_ifs.stats import ConfusionMatrix
 
+from oracles import reference_best_sources
 from synth import corpus_projects, planted_project, write_corpus
 
 
@@ -43,8 +46,6 @@ class TestParseConfig:
     def test_defaults(self):
         config = parse_config(minimal_payload())
         assert config.workers == 1
-        assert config.repeats == 1
-        assert config.seed is None
         assert config.output_dir == "results"
         assert config.preprocessing.log_filter is False
         assert config.preprocessing.normalize is True
@@ -59,8 +60,9 @@ class TestParseConfig:
         assert config.datasets[1].resolved_format() == "arff"
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            parse_config(minimal_payload(extra=1))
+        for key in ("extra", "seed", "repeats"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                parse_config(minimal_payload(**{key: 1}))
 
     def test_unknown_dataset_key_rejected(self):
         payload = minimal_payload()
@@ -100,8 +102,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("workers", 0), ("workers", -1), ("workers", "2"),
-        ("repeats", 0), ("repeats", 1.5),
-        ("seed", "abc"),
     ])
     def test_invalid_scalars_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -193,31 +193,46 @@ class TestLoadProjects:
         assert np.array_equal(loaded.labels, original["fam_b_p0"].labels)
 
 
+def scored(method, source, target, f_measure):
+    """An outcome carrying only what best-per-target selection reads."""
+    return PredictionOutcome(
+        source_name=source,
+        target_name=target,
+        method=Method(method),
+        predicted=np.array([0]),
+        probabilities=None,
+        confusion=ConfusionMatrix(tp=0, fp=0, tn=1, fn=0),
+        precision=0.0,
+        recall=0.0,
+        f_measure=f_measure,
+    )
+
+
 class TestSelectBestPerTarget:
     def test_highest_f_wins(self):
-        rows = [
-            {"method": "cpdp_pure", "source": "a", "target": "t", "f_measure": 0.4},
-            {"method": "cpdp_pure", "source": "b", "target": "t", "f_measure": 0.7},
-            {"method": "cpdp_pure", "source": "c", "target": "t", "f_measure": 0.5},
+        outcomes = [
+            scored("cpdp_pure", "a", "t", 0.4),
+            scored("cpdp_pure", "b", "t", 0.7),
+            scored("cpdp_pure", "c", "t", 0.5),
         ]
-        best = select_best_per_target(rows)
-        assert best[("cpdp_pure", "t")]["source"] == "b"
+        best = best_per_target(outcomes)
+        assert best[("cpdp_pure", "t")].source_name == "b"
 
     def test_tie_goes_to_smaller_source_name(self):
-        rows = [
-            {"method": "cpdp_pure", "source": "zeta", "target": "t", "f_measure": 0.7},
-            {"method": "cpdp_pure", "source": "alpha", "target": "t", "f_measure": 0.7},
+        outcomes = [
+            scored("cpdp_pure", "zeta", "t", 0.7),
+            scored("cpdp_pure", "alpha", "t", 0.7),
         ]
-        best = select_best_per_target(rows)
-        assert best[("cpdp_pure", "t")]["source"] == "alpha"
+        best = best_per_target(outcomes)
+        assert best[("cpdp_pure", "t")].source_name == "alpha"
 
     def test_methods_and_targets_kept_separate(self):
-        rows = [
-            {"method": "cpdp_pure", "source": "a", "target": "t1", "f_measure": 0.4},
-            {"method": "ifs_our", "source": "b", "target": "t1", "f_measure": 0.2},
-            {"method": "cpdp_pure", "source": "c", "target": "t2", "f_measure": 0.9},
+        outcomes = [
+            scored("cpdp_pure", "a", "t1", 0.4),
+            scored("ifs_our", "b", "t1", 0.2),
+            scored("cpdp_pure", "c", "t2", 0.9),
         ]
-        best = select_best_per_target(rows)
+        best = best_per_target(outcomes)
         assert len(best) == 3
 
 
@@ -303,12 +318,49 @@ class TestRunPlan:
     def test_workers_do_not_change_results(self, corpus_bundle):
         tmp_path, config, bundle = corpus_bundle
         serial = run_plan(dataclasses.replace(config, workers=1))
-        assert [outcome_row(o) for o in serial.outcomes] == [
-            outcome_row(o) for o in bundle.outcomes
-        ]
+
+        def facts(outcome):
+            return (
+                outcome.method,
+                outcome.source_name,
+                outcome.target_name,
+                outcome.confusion,
+                outcome.precision,
+                outcome.recall,
+                outcome.f_measure,
+                outcome.predicted.tobytes(),
+            )
+
+        assert [facts(o) for o in serial.outcomes] == [facts(o) for o in bundle.outcomes]
+
+
+# SHA-256 of the corpus_bundle report, recorded before the report path was
+# refactored. Report bytes are part of the determinism contract: change this
+# only together with a deliberate change to the report format or the data.
+GOLDEN_REPORT_DIGEST = "7634928dc51da385cf538e00351565a66a1f6fadbf9fe076648cad57e53d1fc5"
+
+
+def report_digest(report_dir: Path) -> str:
+    """SHA-256 over the result CSVs, ``models/*.json`` and the manifest
+    without its config echo (``config``, ``config_hash``); file names are
+    hashed with the contents."""
+    digest = hashlib.sha256()
+    for path in sorted(report_dir.glob("*.csv")) + sorted(report_dir.glob("models/*.json")):
+        digest.update(path.relative_to(report_dir).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    manifest = json.loads((report_dir / "manifest.json").read_text(encoding="utf-8"))
+    for key in ("config", "config_hash"):
+        manifest.pop(key, None)
+    digest.update(json.dumps(manifest, sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 class TestWriteReport:
+    def test_report_matches_golden_digest(self, corpus_bundle, tmp_path):
+        _, _, bundle = corpus_bundle
+        bundle.write(tmp_path / "report")
+        assert report_digest(tmp_path / "report") == GOLDEN_REPORT_DIGEST
+
     def test_double_run_byte_identical(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle
         first = tmp_path / "r1"
@@ -338,13 +390,12 @@ class TestWriteReport:
         bundle.write(out)
         with open(out / "results.csv", newline="") as handle:
             rows = list(csv_mod.DictReader(handle))
-        reselected = select_best_per_target(rows)
+        reselected = reference_best_sources(rows)
         with open(out / "best_per_target.csv", newline="") as handle:
             best_rows = list(csv_mod.DictReader(handle))
         assert len(best_rows) == len(reselected)
         for row in best_rows:
-            chosen = reselected[(row["method"], row["target"])]
-            assert chosen["source"] == row["source"]
+            assert reselected[(row["method"], row["target"])] == row["source"]
 
     def test_models_saved_for_best_only(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
@@ -369,6 +420,10 @@ class TestWriteReport:
         assert "date" not in text
 
 
+def dpr_rows(outcomes, summaries):
+    return analyze_dpr(outcomes, best_per_target(outcomes), summaries)
+
+
 class TestAnalyzeDpr:
     @staticmethod
     def _project(rng, name, family, defect_rate, n_features=6, n=80, names=None):
@@ -390,7 +445,7 @@ class TestAnalyzeDpr:
         )
         assert 0.16 / 0.25 == 0.64
         outcome = run_cpdp_pure(source, target)
-        rows = analyze_dpr([outcome], {"s": summarize(source), "t": summarize(target)})
+        rows = dpr_rows([outcome], {"s": summarize(source), "t": summarize(target)})
         assert rows[0].dpr_value == pytest.approx(0.64)
         assert rows[0].low_dpr is False
 
@@ -403,9 +458,7 @@ class TestAnalyzeDpr:
             target, labels=np.zeros(target.n_instances, dtype=int)
         )
         outcome = run_cpdp_pure(source, clean_target)
-        rows = analyze_dpr(
-            [outcome], {"s": summarize(source), "t": summarize(clean_target)}
-        )
+        rows = dpr_rows([outcome], {"s": summarize(source), "t": summarize(clean_target)})
         assert rows[0].dpr_value is None
         assert "no defective instances" in rows[0].note
 
@@ -417,7 +470,7 @@ class TestAnalyzeDpr:
         pure = run_cpdp_pure(source, target)
         other = planted_project(rng, "o", "f2", 5, 90)
         profile = run_ifs_our(other, target)
-        rows = analyze_dpr(
+        rows = dpr_rows(
             [pure, profile],
             {"s": summarize(source), "t": summarize(target), "o": summarize(other)},
         )
@@ -433,7 +486,7 @@ class TestAnalyzeDpr:
         pure = run_cpdp_pure(source, target)
         profile = run_ifs_our(other, target)
         fused = run_mix(pure, profile, target.labels)
-        rows = analyze_dpr(
+        rows = dpr_rows(
             [pure, profile, fused],
             {"s": summarize(source), "t": summarize(target), "o": summarize(other)},
         )

@@ -14,9 +14,11 @@ from cpdp_ifs.stats import (
     dpr,
     pearson,
     prf,
-    wilcoxon_exact_oracle,
     wilcoxon_signed_rank,
+    _midranks,
 )
+
+from oracles import wilcoxon_exact_oracle
 
 # Best per-target f-measures reported for the two mapping strategies in the
 # no-transfer setting (8 targets).
@@ -314,3 +316,23 @@ class TestPearson:
             ref = scipy.stats.pearsonr(x, y)
             assert r == pytest.approx(float(ref.statistic), rel=1e-10, abs=1e-12)
             assert p == pytest.approx(float(ref.pvalue), rel=1e-8, abs=1e-12)
+
+
+class TestScipyStatsParity:
+    """The numpy midranks and the stdtr p-value replace scipy.stats calls."""
+
+    @given(st.lists(st.integers(0, 6).map(lambda v: v / 4.0), min_size=1, max_size=30))
+    def test_midranks_match_rankdata_bitwise(self, values):
+        magnitudes = np.array(values)
+        expected = scipy.stats.rankdata(magnitudes, method="average")
+        assert np.array_equal(_midranks(magnitudes), expected)
+
+    def test_pearson_p_matches_t_sf_bitwise(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n = int(rng.integers(3, 30))
+            x = rng.normal(size=n)
+            y = 0.3 * x + rng.normal(size=n)
+            r, p = pearson(x, y)
+            t = r * math.sqrt((n - 2) / (1.0 - r * r))
+            assert p == min(1.0, 2.0 * float(scipy.stats.t.sf(abs(t), n - 2)))
