@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Rank the 16 indicators by how much trained profile models lean on them.
 
-Runs every cross-family profile prediction the config allows, collects the
-absolute model weight of each indicator (the matrices are z-scored before
+Runs every cross-family profile prediction the config allows through
+``run_plan`` with the ``ifs_our`` method alone, collects the absolute model
+weight of each indicator per pair (the matrices are z-scored before
 training, so magnitudes are comparable), and prints the indicators ranked by
-their mean absolute weight.
+their mean absolute weight. Every pair that failed is printed as skipped.
 
 Usage:
     python3 scripts/indicator_weights.py --config demo_corpus/config.json
@@ -13,14 +14,15 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections import defaultdict
 
 import numpy as np
 
-from cpdp_ifs.experiment import ConfigError, DataError, load_config, load_projects
-from cpdp_ifs.learner import DegenerateTrainingError, coefficient_magnitudes
-from cpdp_ifs.predictors import Method, enumerate_pairs, run_ifs_our
+from cpdp_ifs.experiment import ConfigError, DataError, load_config, load_projects, run_plan
+from cpdp_ifs.learner import coefficient_magnitudes
+from cpdp_ifs.predictors import Method
 from cpdp_ifs.profiles import INDICATOR_NAMES
 
 
@@ -33,40 +35,32 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        config = load_config(args.config)
-        projects = load_projects(config)
+        config = dataclasses.replace(load_config(args.config), methods=(Method.IFS_OUR,))
+        bundle = run_plan(config, load_projects(config))
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    by_name = {p.name: p for p in projects}
-    plans = enumerate_pairs(projects, Method.IFS_OUR)
-    if not plans:
+    if bundle.planned_counts[Method.IFS_OUR.value] == 0:
         print("error: no cross-family pairs in this corpus", file=sys.stderr)
         return 1
+    for failure in bundle.failures:
+        print(
+            f"skipped {failure.source_name}->{failure.target_name}: {failure.error}",
+            file=sys.stderr,
+        )
 
     magnitudes: dict[str, list[float]] = defaultdict(list)
-    completed = 0
-    for plan in plans:
-        try:
-            outcome = run_ifs_our(
-                by_name[plan.source_name],
-                by_name[plan.target_name],
-                preprocessing=config.preprocessing,
-                params=config.learner,
-            )
-        except DegenerateTrainingError as exc:
-            print(f"skipped {plan.source_name}->{plan.target_name}: {exc}", file=sys.stderr)
-            continue
+    for outcome in bundle.outcomes:
         for name, magnitude in coefficient_magnitudes(outcome.model):
             magnitudes[name].append(magnitude)
-        completed += 1
+    completed = len(bundle.outcomes)
 
     if completed == 0:
         print("error: every pair failed to train", file=sys.stderr)
         return 1
 
-    print(f"models trained: {completed}")
+    print(f"pairs scored: {completed}")
     print(f"{'indicator':<24} {'mean |weight|':>14} {'sd':>10}")
     ranked = sorted(
         INDICATOR_NAMES, key=lambda name: float(np.mean(magnitudes[name])), reverse=True

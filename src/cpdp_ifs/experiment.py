@@ -1,11 +1,11 @@
 """Experiment harness: config loading, pair execution, reporting.
 
 A run enumerates every applicable source/target pair for the configured
-methods, executes them on a bounded thread pool, keeps the best source per
-target by f-measure, derives the fused predictions, and writes a
-deterministic report directory: identical config plus identical data yields
-byte-identical CSVs (rows sorted, floats fixed to six decimals, manifest
-free of timestamps).
+methods, executes them on a bounded thread pool sharing one ``RunMemo``,
+keeps the best source per target by f-measure, derives the fused
+predictions, and writes a deterministic report directory: identical config
+plus identical data yields byte-identical CSVs (rows sorted, floats fixed
+to six decimals, manifest free of timestamps).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from cpdp_ifs.learner import LearnerParams, save_model
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
+    RunMemo,
     enumerate_pairs,
     run_cpdp_pure,
     run_ifs_min,
@@ -381,6 +382,7 @@ def _execute_pairs(
 
     outcomes: list[PredictionOutcome] = []
     failures: list[FailureRecord] = []
+    memo = RunMemo()
 
     def run_one(plan):
         runner = _RUNNERS[plan.method]
@@ -389,6 +391,7 @@ def _execute_pairs(
             projects[plan.target_name],
             preprocessing=config.preprocessing,
             params=config.learner,
+            memo=memo,
         )
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:

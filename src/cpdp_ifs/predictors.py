@@ -10,8 +10,9 @@ defective-if-either rule.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -58,6 +59,31 @@ class PredictionOutcome:
             object.__setattr__(self, "probabilities", probabilities)
 
 
+class RunMemo:
+    """One run's stage results that depend on one project alone, each
+    computed once: later callers of a key wait for the first, also across
+    threads. A ``ValueError`` is kept and raised again for every caller, so
+    each pair still reports the first error of its own stages."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._slots: dict[Hashable, tuple[threading.Lock, list]] = {}
+
+    def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        with self._lock:
+            lock, result = self._slots.setdefault(key, (threading.Lock(), []))
+        with lock:
+            if not result:
+                try:
+                    result[:] = [compute(), None]
+                except ValueError as exc:
+                    result[:] = [None, exc]
+        value, error = result
+        if error is not None:
+            raise error.with_traceback(None)
+        return value
+
+
 def _train_and_classify(
     source_matrix: np.ndarray,
     source_labels: np.ndarray,
@@ -69,12 +95,18 @@ def _train_and_classify(
     target_name: str,
     preprocessing: PreprocessConfig,
     params: LearnerParams,
+    memo: RunMemo,
 ) -> PredictionOutcome:
-    # Each side is transformed against its own column statistics; target
-    # scaling must not leak into training and vice versa.
-    source_ready, _ = preprocess_matrix(source_matrix, preprocessing)
+    # Each side is transformed against its own column statistics, so no
+    # scaling leaks between them, and every target shares the source side.
+    key = (method, source_name, tuple(feature_names))
+    source_ready = memo.get(
+        ("source", *key), lambda: preprocess_matrix(source_matrix, preprocessing)[0]
+    )
     target_ready, _ = preprocess_matrix(target_matrix, preprocessing)
-    model = train(source_ready, source_labels, feature_names, params)
+    model = memo.get(
+        ("model", *key), lambda: train(source_ready, source_labels, feature_names, params)
+    )
     probabilities = predict_proba(model, target_ready)
     predicted = apply_threshold(probabilities, model.params.decision_threshold)
     confusion = ConfusionMatrix.from_predictions(target_labels, predicted)
@@ -103,6 +135,7 @@ def run_cpdp_pure(
     target: Project,
     preprocessing: PreprocessConfig = PreprocessConfig(),
     params: LearnerParams = LearnerParams(),
+    memo: RunMemo | None = None,
 ) -> PredictionOutcome:
     """Train on the source metrics directly; schemas must match exactly.
 
@@ -127,6 +160,7 @@ def run_cpdp_pure(
         target.name,
         preprocessing,
         params,
+        memo or RunMemo(),
     )
 
 
@@ -135,6 +169,7 @@ def run_ifs_min(
     target: Project,
     preprocessing: PreprocessConfig = PreprocessConfig(),
     params: LearnerParams = LearnerParams(),
+    memo: RunMemo | None = None,
 ) -> PredictionOutcome:
     """Restrict both projects to their shared metrics, then train directly."""
     _require_distinct(source, target)
@@ -150,6 +185,7 @@ def run_ifs_min(
         target.name,
         preprocessing,
         params,
+        memo or RunMemo(),
     )
 
 
@@ -158,6 +194,7 @@ def run_ifs_our(
     target: Project,
     preprocessing: PreprocessConfig = PreprocessConfig(),
     params: LearnerParams = LearnerParams(),
+    memo: RunMemo | None = None,
 ) -> PredictionOutcome:
     """Profile both projects into the 16 indicators, then train on those.
 
@@ -166,8 +203,11 @@ def run_ifs_our(
     filtered, since several indicators are signed) on the way into training.
     """
     _require_distinct(source, target)
-    source_profiled = characterize_project(source, preprocessing)
-    target_profiled = characterize_project(target, preprocessing)
+    memo = memo or RunMemo()
+    source_profiled, target_profiled = (
+        memo.get(("profile", p.name, preprocessing), lambda: characterize_project(p, preprocessing))
+        for p in (source, target)
+    )
     indicator_config = PreprocessConfig(log_filter=False, normalize=preprocessing.normalize)
     return _train_and_classify(
         source_profiled.matrix,
@@ -180,6 +220,7 @@ def run_ifs_our(
         target.name,
         indicator_config,
         params,
+        memo,
     )
 
 

@@ -3,12 +3,16 @@
 Every instance, no matter how many metrics its project records, is mapped to
 the same 16 summary indicators of its metric-value distribution. Profiled
 projects therefore share a feature space and can cross-predict even when
-their raw metric sets differ.
+their raw metric sets differ. One kernel profiles a whole matrix at once.
+
+Scaling an instance by c = 2^k scales the location and spread indicators by
+c and the variance by c^2 and keeps skewness and kurtosis, bit for bit. Mode
+and variation ratio may change: their 4-decimal buckets are absolute, so
+scaling can merge or split them. This shows only with ``normalize: false``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,67 +45,57 @@ _MODE_DECIMALS = 4
 _DEGENERATE_SPREAD = 1e-12
 
 
-def _mode_and_variation_ratio(sorted_values: np.ndarray) -> tuple[float, float]:
-    keys = np.round(sorted_values, _MODE_DECIMALS)
-    _, first_index, counts = np.unique(keys, return_index=True, return_counts=True)
-    winner = int(np.argmax(counts))  # ties fall to the smallest key
-    mode = float(sorted_values[first_index[winner]])
-    variation_ratio = 1.0 - counts[winner] / sorted_values.size
-    return mode, float(variation_ratio)
+def _mode_and_variation_ratio(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sorted row: the first value of the longest rounded-key run, and
+    the share of values outside it."""
+    m, n = sorted_rows.shape
+    keys = np.round(sorted_rows, _MODE_DECIMALS)
+    # Rounding is monotone, so equal keys form runs in a sorted row;
+    # ``starts[:, n]`` is a sentinel one past the last value.
+    starts = np.ones((m, n + 1), dtype=bool)
+    starts[:, 1:n] = keys[:, 1:] != keys[:, :-1]
+    positions = np.arange(n + 1)
+    later_starts = np.where(starts, positions, n)[:, ::-1]
+    next_start = np.minimum.accumulate(later_starts, axis=1)[:, ::-1]
+    run_lengths = np.where(starts[:, :n], next_start[:, 1:] - positions[:n], 0)
+    winner = run_lengths.argmax(axis=1)  # ties fall to the first run, the smallest key
+    rows = np.arange(m)
+    return sorted_rows[rows, winner], 1.0 - run_lengths[rows, winner] / n
 
 
-def _indicator_values(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
+def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
+    """The 16 indicators of every row of a two-dimensional matrix."""
+    if rows.shape[1] == 0:
         raise ValueError("empty instance")
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(rows)):
         raise ValueError("instance contains non-finite values")
     # Sorting first makes every indicator exactly permutation invariant;
     # summation order otherwise leaks into the low bits.
-    v = np.sort(values)
-    n = v.size
+    v = np.sort(rows, axis=1)
+    m, n = v.shape
 
-    minimum = float(v[0])
-    maximum = float(v[-1])
-    total = float(v.sum())
+    minimum = v[:, 0]
+    maximum = v[:, -1]
+    total = v.sum(axis=1)
     mean = total / n
-    median = float(np.median(v))
+    median = np.median(v, axis=1)
     mode, variation_ratio = _mode_and_variation_ratio(v)
-    q1 = float(np.quantile(v, 0.25))
-    q3 = float(np.quantile(v, 0.75))
-    variance = float(v.var(ddof=1)) if n > 1 else 0.0
-    sd = math.sqrt(variance)
-    deviations = v - mean
-    mad = float(np.mean(np.abs(deviations)))
+    q1 = np.quantile(v, 0.25, axis=1)
+    q3 = np.quantile(v, 0.75, axis=1)
+    variance = v.var(axis=1, ddof=1) if n > 1 else np.zeros(m)
+    sd = np.sqrt(variance)
+    deviations = v - mean[:, None]
+    mad = np.abs(deviations).mean(axis=1)
 
-    sd_pop = math.sqrt(float(np.mean(deviations**2)))
-    if sd_pop < _DEGENERATE_SPREAD:
-        skewness = 0.0
-        kurtosis = 0.0
-    else:
-        z = deviations / sd_pop
-        skewness = float(np.mean(z**3))
-        kurtosis = float(np.mean(z**4)) - 3.0
+    sd_pop = np.sqrt((deviations**2).mean(axis=1))
+    spread = sd_pop >= _DEGENERATE_SPREAD
+    z = deviations / np.where(spread, sd_pop, 1.0)[:, None]
+    skewness = np.where(spread, (z**3).mean(axis=1), 0.0)
+    kurtosis = np.where(spread, (z**4).mean(axis=1) - 3.0, 0.0)
 
-    return np.array(
-        [
-            minimum,
-            maximum,
-            maximum - minimum,
-            total,
-            mean,
-            median,
-            mode,
-            q1,
-            q3,
-            q3 - q1,
-            variance,
-            sd,
-            mad,
-            skewness,
-            kurtosis,
-            variation_ratio,
-        ]
+    return np.column_stack(
+        (minimum, maximum, maximum - minimum, total, mean, median, mode, q1, q3, q3 - q1)
+        + (variance, sd, mad, skewness, kurtosis, variation_ratio)
     )
 
 
@@ -131,7 +125,8 @@ def characterize_instance(values: np.ndarray) -> CharacteristicVector:
 
     The result depends only on the multiset of values, not their order.
     """
-    return CharacteristicVector(values=_indicator_values(np.asarray(values, dtype=float)))
+    row = np.asarray(values, dtype=float).ravel()
+    return CharacteristicVector(values=_indicator_matrix(row[np.newaxis, :])[0])
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def characterize_project(
     which cannot be z-scored.
     """
     matrix, _ = preprocess_matrix(project.matrix, preprocessing)
-    profiled = np.stack([_indicator_values(row) for row in matrix])
+    profiled = _indicator_matrix(matrix)
     return ProfiledProject(
         name=project.name,
         dataset_family=project.dataset_family,

@@ -131,6 +131,77 @@ def reference_indicators(values: list[float]) -> dict[str, float]:
     }
 
 
+# The scalar indicator kernel, one instance at a time: the bitwise reference
+# for the package's row-vectorized kernel. The constants repeat the
+# package's, so a change to either shows up as a mismatch.
+_MODE_DECIMALS = 4
+_DEGENERATE_SPREAD = 1e-12
+
+
+def _mode_and_variation_ratio(sorted_values: np.ndarray) -> tuple[float, float]:
+    keys = np.round(sorted_values, _MODE_DECIMALS)
+    _, first_index, counts = np.unique(keys, return_index=True, return_counts=True)
+    winner = int(np.argmax(counts))  # ties fall to the smallest key
+    mode = float(sorted_values[first_index[winner]])
+    variation_ratio = 1.0 - counts[winner] / sorted_values.size
+    return mode, float(variation_ratio)
+
+
+def _indicator_values(values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 0:
+        raise ValueError("empty instance")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("instance contains non-finite values")
+    # Sorting first makes every indicator exactly permutation invariant;
+    # summation order otherwise leaks into the low bits.
+    v = np.sort(values)
+    n = v.size
+
+    minimum = float(v[0])
+    maximum = float(v[-1])
+    total = float(v.sum())
+    mean = total / n
+    median = float(np.median(v))
+    mode, variation_ratio = _mode_and_variation_ratio(v)
+    q1 = float(np.quantile(v, 0.25))
+    q3 = float(np.quantile(v, 0.75))
+    variance = float(v.var(ddof=1)) if n > 1 else 0.0
+    sd = math.sqrt(variance)
+    deviations = v - mean
+    mad = float(np.mean(np.abs(deviations)))
+
+    sd_pop = math.sqrt(float(np.mean(deviations**2)))
+    if sd_pop < _DEGENERATE_SPREAD:
+        skewness = 0.0
+        kurtosis = 0.0
+    else:
+        z = deviations / sd_pop
+        skewness = float(np.mean(z**3))
+        kurtosis = float(np.mean(z**4)) - 3.0
+
+    return np.array(
+        [
+            minimum,
+            maximum,
+            maximum - minimum,
+            total,
+            mean,
+            median,
+            mode,
+            q1,
+            q3,
+            q3 - q1,
+            variance,
+            sd,
+            mad,
+            skewness,
+            kurtosis,
+            variation_ratio,
+        ]
+    )
+
+
 def wilcoxon_exact_oracle(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Brute-force signed-rank test by enumerating every sign assignment.
 

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +313,40 @@ class TestUsage:
         assert result.returncode == 0
         assert "ingest" in result.stdout
         assert "compare" in result.stdout
+
+
+class TestIndicatorWeights:
+    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        projects = [p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0")]
+        one = corpus_projects()[-1]
+        projects.append(
+            dataclasses.replace(one, name="tiny", matrix=one.matrix[:1], labels=one.labels[:1])
+        )
+        specs = []
+        for project in projects:
+            write_project_csv(tmp_path / f"{project.name}.csv", project)
+            specs.append(
+                {
+                    "name": project.name,
+                    "path": f"{project.name}.csv",
+                    "family": project.dataset_family,
+                }
+            )
+        (tmp_path / "config.json").write_text(json.dumps({"datasets": specs}), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        result = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "indicator_weights.py"),
+             "--config", str(tmp_path / "config.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        skipped = sorted(line for line in result.stderr.splitlines() if line.startswith("skipped"))
+        assert skipped == [
+            f"skipped {pair}: insufficient rows for normalization (need at least 2)"
+            for pair in ("fam_a_p0->tiny", "fam_b_p0->tiny", "tiny->fam_a_p0", "tiny->fam_b_p0")
+        ]
+        assert result.stdout.splitlines()[0] == "pairs scored: 2"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,17 @@ from cpdp_ifs.experiment import (
     parse_config,
     run_plan,
 )
-from cpdp_ifs.corpus import summarize
-from cpdp_ifs.predictors import Method, PredictionOutcome, run_cpdp_pure, run_ifs_our, run_mix
+from cpdp_ifs import predictors
+from cpdp_ifs.corpus import intersect_features, summarize
+from cpdp_ifs.predictors import (
+    Method,
+    PredictionOutcome,
+    enumerate_pairs,
+    run_cpdp_pure,
+    run_ifs_our,
+    run_mix,
+)
+from cpdp_ifs.profiles import INDICATOR_NAMES
 from cpdp_ifs.stats import ConfusionMatrix
 
 from oracles import reference_best_sources
@@ -332,6 +342,117 @@ class TestRunPlan:
             )
 
         assert [facts(o) for o in serial.outcomes] == [facts(o) for o in bundle.outcomes]
+
+
+class TestStageReuse:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_profile_and_model_computed_once(self, corpus_bundle, monkeypatch, workers):
+        _, config, _ = corpus_bundle
+        lock = threading.Lock()
+        profiled: list[str] = []
+        trained: list[tuple] = []
+        real_profile, real_train = predictors.characterize_project, predictors.train
+
+        def counting_profile(project, *args):
+            with lock:
+                profiled.append(project.name)
+            return real_profile(project, *args)
+
+        def counting_train(matrix, labels, feature_names, *args):
+            with lock:
+                trained.append((tuple(feature_names), matrix.tobytes(), labels.tobytes()))
+            return real_train(matrix, labels, feature_names, *args)
+
+        monkeypatch.setattr(predictors, "characterize_project", counting_profile)
+        monkeypatch.setattr(predictors, "train", counting_train)
+        bundle = run_plan(dataclasses.replace(config, workers=workers))
+        assert bundle.failures == ()
+
+        projects = load_projects(config)
+        by_name = {p.name: p for p in projects}
+        in_profile_pairs = {
+            name
+            for plan in enumerate_pairs(projects, Method.IFS_OUR)
+            for name in (plan.source_name, plan.target_name)
+        }
+        assert sorted(profiled) == sorted(in_profile_pairs)
+
+        expected = set()
+        for method in (Method.CPDP_PURE, Method.IFS_OUR, Method.IFS_MIN):
+            for plan in enumerate_pairs(projects, method):
+                source = by_name[plan.source_name]
+                columns = {
+                    Method.CPDP_PURE: source.schema.feature_names,
+                    Method.IFS_OUR: INDICATOR_NAMES,
+                }.get(method)
+                if columns is None:
+                    shared, _ = intersect_features(source, by_name[plan.target_name])
+                    columns = shared.schema.feature_names
+                expected.add((method, plan.source_name, columns))
+        assert len(trained) == len(expected)
+        assert len(set(trained)) == len(trained)
+
+
+def degenerate_projects():
+    """Two healthy projects plus an all-constant, a single-class and a
+    one-row project, over two families that share 'loc' and 'cbo'."""
+    rng = np.random.default_rng(11)
+    names_a = ("loc", "cbo", "a_m0", "a_m1")
+    names_b = ("loc", "cbo", "b_m0")
+    good_a = planted_project(rng, "good_a", "fa", 4, 40, feature_names=names_a)
+    flat = dataclasses.replace(
+        planted_project(rng, "flat", "fa", 4, 30, feature_names=names_a),
+        matrix=np.full((30, 4), 2.5),
+    )
+    good_b = planted_project(rng, "good_b", "fb", 3, 40, feature_names=names_b)
+    mono = dataclasses.replace(
+        planted_project(rng, "mono", "fb", 3, 30, feature_names=names_b),
+        labels=np.zeros(30, dtype=int),
+    )
+    tiny = planted_project(rng, "tiny", "fb", 3, 1, feature_names=names_b)
+    return [good_a, flat, good_b, mono, tiny]
+
+
+ONE_CLASS = "degenerate training set: all labels belong to one class"
+TOO_FEW_ROWS = "insufficient rows for normalization (need at least 2)"
+
+# Recorded with each pair profiling and training on its own, before stage
+# results were shared across pairs. Each pair must keep the first error of
+# its own stages: cpdp_pure mono->tiny fails on the one-row target before
+# training on the one-class source.
+DEGENERATE_FAILURES = [
+    ("cpdp_pure", "mono", "good_b", ONE_CLASS),
+    ("cpdp_pure", "tiny", "good_b", TOO_FEW_ROWS),
+    ("cpdp_pure", "tiny", "mono", TOO_FEW_ROWS),
+    ("cpdp_pure", "good_b", "tiny", TOO_FEW_ROWS),
+    ("cpdp_pure", "mono", "tiny", TOO_FEW_ROWS),
+    ("ifs_min", "mono", "flat", ONE_CLASS),
+    ("ifs_min", "tiny", "flat", TOO_FEW_ROWS),
+    ("ifs_min", "mono", "good_a", ONE_CLASS),
+    ("ifs_min", "tiny", "good_a", TOO_FEW_ROWS),
+    ("ifs_min", "flat", "tiny", TOO_FEW_ROWS),
+    ("ifs_min", "good_a", "tiny", TOO_FEW_ROWS),
+    ("ifs_our", "mono", "flat", ONE_CLASS),
+    ("ifs_our", "tiny", "flat", TOO_FEW_ROWS),
+    ("ifs_our", "mono", "good_a", ONE_CLASS),
+    ("ifs_our", "tiny", "good_a", TOO_FEW_ROWS),
+    ("ifs_our", "flat", "tiny", TOO_FEW_ROWS),
+    ("ifs_our", "good_a", "tiny", TOO_FEW_ROWS),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_failures_replay_per_pair(workers):
+    projects = degenerate_projects()
+    config = ExperimentConfig(
+        datasets=tuple(DatasetSpec(name=p.name, path="unused") for p in projects),
+        methods=tuple(Method),
+        workers=workers,
+    )
+    bundle = run_plan(config, projects=projects)
+    failures = [(f.method.value, f.source_name, f.target_name, f.error) for f in bundle.failures]
+    assert failures == DEGENERATE_FAILURES
+    assert len(bundle.outcomes) == 18
 
 
 # SHA-256 of the corpus_bundle report, recorded before the report path was

@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from cpdp_ifs.learner import DegenerateTrainingError
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
+    RunMemo,
     enumerate_pairs,
     run_cpdp_pure,
     run_ifs_min,
@@ -319,3 +325,43 @@ class TestPredictionOutcomeValidation:
                 confusion=ConfusionMatrix(1, 0, 1, 0),
                 precision=1.0, recall=1.0, f_measure=1.0,
             )
+
+
+class TestRunMemo:
+    def test_each_key_filled_once_under_contention(self):
+        memo = RunMemo()
+        lock = threading.Lock()
+        calls: Counter = Counter()
+        got: list = []
+
+        def compute(key):
+            with lock:
+                calls[key] += 1
+            time.sleep(0.001)
+            if key % 3 == 0:
+                raise ValueError(f"bad {key}")
+            return 10 * key
+
+        def worker():
+            for key in range(12):
+                try:
+                    value = memo.get(key, lambda: compute(key))
+                except ValueError as exc:
+                    value = str(exc)
+                with lock:
+                    got.append((key, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == Counter(range(12))
+        expected = [(k, f"bad {k}" if k % 3 == 0 else 10 * k) for k in range(12)]
+        assert sorted(got) == sorted(expected * 8)

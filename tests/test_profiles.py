@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig
@@ -11,7 +12,7 @@ from cpdp_ifs.profiles import (
     characterize_project,
 )
 
-from oracles import reference_indicators
+from oracles import _indicator_values, reference_indicators
 
 CANONICAL_ORDER = (
     "min",
@@ -207,3 +208,110 @@ class TestCharacterizeProject:
         d_out = characterize_instance(outlier).as_dict()
         for key in ("standard_deviation", "range", "excess_kurtosis"):
             assert d_out[key] > d_mod[key]
+
+
+# Row values that stress the kernel: wide floats, ties at the 4th decimal
+# (the mode bucket), signed zeros, and spreads near _DEGENERATE_SPREAD.
+ROW_VALUES = {
+    "wide": st.floats(-1e6, 1e6, allow_nan=False),
+    "ties": st.tuples(
+        st.integers(-20, 20), st.sampled_from([0.0, 1e-5, 4e-5, 5e-5, -5e-5, 6e-5])
+    ).map(lambda t: t[0] * 1e-4 + t[1]),
+    "zeros": st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 5e-5, -5e-5]),
+    "near_degenerate": st.tuples(st.floats(-2.0, 2.0), st.integers(-16, -10)).map(
+        lambda t: 1.0 + t[0] * 10.0 ** t[1]
+    ),
+}
+
+
+@st.composite
+def kernel_matrices(draw):
+    n_rows = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 70))
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(sorted(ROW_VALUES) + ["constant"]))
+        if kind == "constant":
+            value = draw(st.floats(-1e6, 1e6, allow_nan=False))
+            rows.append(np.full(width, value))
+        else:
+            rows.append(draw(arrays(float, width, elements=ROW_VALUES[kind])))
+    return np.stack(rows)
+
+
+class TestRowKernelMatchesScalarOracle:
+    @staticmethod
+    def assert_rows_match(matrix):
+        project = project_from(matrix, np.zeros(matrix.shape[0], dtype=int))
+        profiled = characterize_project(project, PreprocessConfig(normalize=False))
+        for i, row in enumerate(matrix):
+            assert profiled.matrix[i].tobytes() == _indicator_values(row).tobytes()
+
+    @given(kernel_matrices())
+    def test_project_rows_bitwise_equal_scalar_kernel(self, matrix):
+        self.assert_rows_match(matrix)
+
+    def test_every_width_up_to_70(self):
+        rng = np.random.default_rng(5)
+        for width in range(1, 71):
+            near_zero = rng.choice([0.0, -0.0, 1e-4, -1e-4, 5e-5, -5e-5], (4, width))
+            ties = np.round(rng.normal(0.0, 1e-3, (4, width)), 4) + rng.choice(
+                [0.0, 1e-5, 4e-5, 5e-5, 6e-5], (4, width)
+            )
+            tiny_spread = 1.0 + rng.normal(0.0, 1.0, (4, width)) * 1e-12
+            constant = np.repeat(rng.normal(0.0, 100.0, (4, 1)), width, axis=1)
+            wide = rng.gamma(2.0, 1.5, (4, width)) * 10.0 ** rng.integers(-6, 7)
+            for matrix in (near_zero, ties, tiny_spread, constant, wide):
+                self.assert_rows_match(matrix)
+
+
+SCALED_BY_C = (
+    "min",
+    "max",
+    "range",
+    "sum",
+    "mean",
+    "median",
+    "first_quartile",
+    "third_quartile",
+    "interquartile_range",
+    "standard_deviation",
+    "mean_absolute_deviation",
+)
+
+
+class TestScaleEquivariance:
+    # Multiples of 2^-10 below 2^10 sum exactly, so a row's spread is either
+    # exactly 0 or far above _DEGENERATE_SPREAD, and scaling by a power of
+    # two is exact in every step.
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 5), st.integers(1, 30)),
+            elements=st.integers(-(2**20), 2**20).map(lambda k: k / 1024.0),
+        ),
+        st.integers(-10, 10),
+    )
+    def test_power_of_two_scaling(self, matrix, k):
+        c = 2.0**k
+        config = PreprocessConfig(normalize=False)
+        labels = np.zeros(matrix.shape[0], dtype=int)
+        base = characterize_project(project_from(matrix, labels), config).matrix
+        scaled = characterize_project(project_from(c * matrix, labels), config).matrix
+        column = {name: i for i, name in enumerate(INDICATOR_NAMES)}
+        for name in SCALED_BY_C:
+            assert np.array_equal(scaled[:, column[name]], c * base[:, column[name]]), name
+        variance = column["variance"]
+        assert np.array_equal(scaled[:, variance], c * c * base[:, variance])
+        for name in ("skewness", "excess_kurtosis"):
+            assert np.array_equal(scaled[:, column[name]], base[:, column[name]]), name
+
+    def test_mode_buckets_are_absolute(self):
+        # 1.00006 and 1.00007 share a bucket that 1.00004 misses; doubled, all
+        # three round to 2.0001, so the mode is not twice the original mode.
+        base = characterize_instance([1.00004, 1.00006, 1.00007]).as_dict()
+        doubled = characterize_instance([2.00008, 2.00012, 2.00014]).as_dict()
+        assert base["mode"] == 1.00006
+        assert doubled["mode"] == 2.00008
+        assert base["variation_ratio"] == pytest.approx(1.0 / 3.0)
+        assert doubled["variation_ratio"] == 0.0
