@@ -9,12 +9,12 @@ inputs without noticeably biasing the fit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 _GRADIENT_FLOOR = 1e-10
 _MAX_HALVINGS = 60
@@ -70,6 +70,31 @@ class Model:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(eta: float | np.ndarray) -> float | np.ndarray:
+    """The logistic function ``1/(1 + exp(-eta))``, elementwise.
+
+    The exponential is the C library's, taken through :func:`math.exp`, so
+    every value equals ``scipy.special.expit`` bit for bit; numpy's own
+    vectorized ``exp`` rounds differently in the last bit for some inputs,
+    which would move fitted weights. ``exp`` overflow gives 0.
+    """
+    arr = np.asarray(eta, dtype=float)
+    negated = (-arr).ravel().tolist()
+    try:
+        exps = np.fromiter(map(math.exp, negated), float, len(negated))
+    except OverflowError:
+        exps = np.fromiter(map(_exp_or_inf, negated), float, len(negated))
+    # ``[()]`` makes a 0-d result a numpy scalar, as scipy returns it.
+    return (1.0 / (1.0 + exps.reshape(arr.shape)))[()]
+
+
 def _penalty_mask(n_params: int) -> np.ndarray:
     mask = np.ones(n_params)
     mask[0] = 0.0  # the intercept is never penalized
@@ -90,7 +115,13 @@ def _penalized_objective(
 def _penalized_gradient(
     w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
 ) -> np.ndarray:
-    prob = expit(design @ w)
+    return _gradient_at(_expit(design @ w), w, design, y, ridge)
+
+
+def _gradient_at(
+    prob: np.ndarray, w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
+) -> np.ndarray:
+    """The penalized gradient given the fitted probabilities ``_expit(design @ w)``."""
     return design.T @ (prob - y) + ridge * _penalty_mask(w.size) * w
 
 
@@ -141,11 +172,11 @@ def train(
     iterations = 0
 
     for _ in range(params.max_iterations):
-        gradient = _penalized_gradient(w, X1, y, params.ridge)
+        prob = _expit(X1 @ w)
+        gradient = _gradient_at(prob, w, X1, y, params.ridge)
         if float(np.max(np.abs(gradient))) < _GRADIENT_FLOOR:
             converged = True
             break
-        prob = expit(X1 @ w)
         weight = prob * (1.0 - prob)
         hessian = (X1 * weight[:, None]).T @ X1 + params.ridge * np.diag(penalized)
         direction = _solve_newton(hessian, gradient)
@@ -198,12 +229,12 @@ def predict_proba(model: Model, features: np.ndarray) -> float | np.ndarray:
         if arr.shape[0] != n:
             raise ValueError(f"expected {n} feature values, got {arr.shape[0]}")
         eta = float(arr @ model.weights) + model.intercept
-        return float(np.clip(expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR))
+        return float(np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR))
     if arr.ndim == 2:
         if arr.shape[1] != n:
             raise ValueError(f"expected {n} feature columns, got {arr.shape[1]}")
         eta = arr @ model.weights + model.intercept
-        return np.clip(expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+        return np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     raise ValueError("features must be a vector or a matrix")
 
 

@@ -88,7 +88,9 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     mad = np.abs(deviations).mean(axis=1)
 
     sd_pop = np.sqrt((deviations**2).mean(axis=1))
-    spread = sd_pop >= _DEGENERATE_SPREAD
+    # A constant row of large values leaves rounding noise in sd_pop that
+    # can exceed the absolute threshold, so equal ends count as no spread.
+    spread = (sd_pop >= _DEGENERATE_SPREAD) & (maximum > minimum)
     z = deviations / np.where(spread, sd_pop, 1.0)[:, None]
     skewness = np.where(spread, (z**3).mean(axis=1), 0.0)
     kurtosis = np.where(spread, (z**4).mean(axis=1) - 3.0, 0.0)

@@ -3,18 +3,22 @@
 The exact signed-rank test counts sign assignments with an integer
 subset-sum table over doubled midranks. The test suite holds it to
 bit-for-bit agreement with a brute-force enumeration that shares none of
-its code.
+its code. The Pearson p-value is a Student-t tail computed as a regularized
+incomplete beta with the math module alone; the suite holds it within 1e-13
+of a 50-digit reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 _EXACT_CUTOFF = 12
+_FRACTION_MAX_TERMS = 10_000
+_FRACTION_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,74 @@ def compare_paired(x: np.ndarray, y: np.ndarray, method: str = "auto") -> Compar
     )
 
 
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """The continued fraction of ``I_x(a, b)``, by the modified Lentz method."""
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _FRACTION_TINY else _FRACTION_TINY)
+    c = 1.0
+    h = d
+    for m in range(1, _FRACTION_MAX_TERMS + 1):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _FRACTION_TINY else _FRACTION_TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _FRACTION_TINY else _FRACTION_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at x={x}, a={a}, b={b}")
+
+
+def _stirling_tail(x: float) -> float:
+    """``lgamma(x)`` less its Stirling approximation, for ``x >= 20``."""
+    inv2 = 1.0 / (x * x)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """``log B(a, b)``; for a large argument the lgamma difference is formed
+    from Stirling's series, because subtracting two large lgammas would
+    cancel the leading digits."""
+    small, big = sorted((a, b))
+    if big < 20.0:
+        return math.lgamma(small) + math.lgamma(big) - math.lgamma(small + big)
+    log_ratio = (  # log(Gamma(big + small) / Gamma(big))
+        small * math.log(big)
+        + (big + small - 0.5) * math.log1p(small / big)
+        - small
+        + _stirling_tail(big + small)
+        - _stirling_tail(big)
+    )
+    return math.lgamma(small) - log_ratio
+
+
+def _regularized_beta(x: float, y: float, a: float, b: float) -> float:
+    """``I_x(a, b)`` for ``0 <= x <= 1``, where the caller passes ``y = 1 - x``
+    computed without cancellation."""
+    if x == 0.0:
+        return 0.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        # The fraction converges fast only below this point; use the symmetry.
+        return 1.0 - _regularized_beta(y, x, b, a)
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    log_front = a * log_x + b * log_y - _log_beta(a, b)
+    return math.exp(log_front) * _beta_fraction(x, a, b) / a
+
+
+def _student_t_two_sided_p(t: float, df: int) -> float:
+    """``P(|T| >= |t|)`` for Student's t with ``df`` degrees of freedom.
+
+    That is ``I_{df/(df+t^2)}(df/2, 1/2)``; the complement ``t^2/(df+t^2)``
+    is formed directly, so no precision is lost near ``t = 0``.
+    """
+    t2 = t * t
+    return _regularized_beta(df / (df + t2), t2 / (df + t2), 0.5 * df, 0.5)
+
+
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Pearson correlation with its two-sided t-distribution p-value."""
     x = np.asarray(x, dtype=float)
@@ -219,5 +291,4 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p_value = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return r, min(1.0, p_value)
+    return r, min(1.0, _student_t_two_sided_p(t, n - 2))

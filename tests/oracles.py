@@ -104,7 +104,7 @@ def reference_indicators(values: list[float]) -> dict[str, float]:
 
     variance = statistics.variance(v) if n > 1 else 0.0
     sd_pop = math.sqrt(sum((x - mean) ** 2 for x in v) / n)
-    if sd_pop < 1e-12:
+    if sd_pop < 1e-12 or v[0] == v[-1]:
         skewness = 0.0
         kurtosis = 0.0
     else:
@@ -172,7 +172,7 @@ def _indicator_values(values: np.ndarray) -> np.ndarray:
     mad = float(np.mean(np.abs(deviations)))
 
     sd_pop = math.sqrt(float(np.mean(deviations**2)))
-    if sd_pop < _DEGENERATE_SPREAD:
+    if sd_pop < _DEGENERATE_SPREAD or maximum == minimum:
         skewness = 0.0
         kurtosis = 0.0
     else:

@@ -304,6 +304,18 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_run_loads_no_scipy_module(self, corpus_dir, tmp_path):
+        code = (
+            "import sys, cpdp_ifs.cli\n"
+            "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert status == 0 and not loaded, (status, sorted(loaded))\n"
+        )
+        argv = ["run", "--config", str(corpus_dir / "config.json"), "--out", str(tmp_path)]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "manifest.json").exists()
+
     def test_console_script_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "cpdp_ifs.cli", "--help"],

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -481,6 +483,24 @@ class TestWriteReport:
         _, _, bundle = corpus_bundle
         bundle.write(tmp_path / "report")
         assert report_digest(tmp_path / "report") == GOLDEN_REPORT_DIGEST
+
+    def test_demo_report_matches_bench_golden_digest(self, tmp_path):
+        # The README's demo corpus at the benchmark's seed: one ARFF file
+        # and workers 2. bench/golden.json records its input and report digests.
+        repo = Path(__file__).resolve().parents[1]
+        golden = json.loads((repo / "bench" / "golden.json").read_text(encoding="utf-8"))
+        corpus = tmp_path / "demo"
+        subprocess.run(
+            [sys.executable, str(repo / "scripts" / "make_demo_corpus.py"),
+             "--out", str(corpus), "--seed", str(golden["seed"])],
+            check=True,
+            capture_output=True,
+        )
+        for name, digest in golden["inputs"]["demo"].items():
+            if name != "config.json":  # it names the output directory
+                assert hashlib.sha256((corpus / name).read_bytes()).hexdigest() == digest, name
+        run_plan(load_config(corpus / "config.json")).write(tmp_path / "report")
+        assert report_digest(tmp_path / "report") == golden["reports"]["demo"]
 
     def test_double_run_byte_identical(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from cpdp_ifs import learner
 from cpdp_ifs.learner import (
     DegenerateTrainingError,
     LearnerParams,
     Model,
     TrainingMeta,
+    _expit,
     _penalized_gradient,
     _penalized_objective,
     classify,
@@ -146,6 +152,54 @@ class TestTrain:
             train(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.array([0, 1]), ["a", "b"])
         with pytest.raises(ValueError, match="binary"):
             train(np.ones((2, 1)), np.array([0, 2]), ["a"])
+
+
+# exp(-eta) overflows below eta = -709.78, where expit becomes 0; just above
+# that, expit is subnormal. The -760..-700 band straddles both.
+ETA_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-760.0, 760.0),
+    st.floats(-760.0, -700.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, -709.8, -745.2, -746.0, 709.8]),
+)
+
+
+class TestExpit:
+    @given(ETA_VALUES)
+    def test_scalar_bitwise_equal_scipy(self, eta):
+        got, want = _expit(eta), scipy.special.expit(eta)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @given(
+        arrays(
+            float,
+            array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=20),
+            elements=ETA_VALUES,
+        )
+    )
+    def test_array_bitwise_equal_scipy(self, eta):
+        got, want = _expit(eta), scipy.special.expit(eta)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_seeded_sweep_bitwise_equal_scipy(self):
+        # numpy's vectorized exp differs from the C library's in the last bit
+        # for about 2% of these values.
+        rng = np.random.default_rng(9)
+        for scale in (1.0, 40.0, 760.0):
+            eta = rng.uniform(-scale, scale, (200, 100))
+            assert _expit(eta).tobytes() == scipy.special.expit(eta).tobytes(), scale
+
+    def test_one_probability_vector_per_newton_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(learner, "_expit", lambda eta: calls.append(1) or _expit(eta))
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] + rng.normal(size=60) > 0).astype(float)
+        model = train(X, y, ("a", "b", "c"))
+        assert model.meta.iterations >= 3
+        assert len(calls) <= model.meta.iterations + 1
 
 
 class TestGradient:

@@ -90,6 +90,14 @@ class TestCharacterizeInstance:
             assert d[key] == 0.0
         assert d["sum"] == 45.0
 
+    def test_constant_large_vector_has_no_shape(self):
+        # The computed mean misses 123456.7 by rounding, so the population
+        # spread is 1.6e-11, above the degenerate threshold; a row with equal
+        # ends still has no skewness or excess kurtosis.
+        d = characterize_instance([123456.7] * 7).as_dict()
+        assert d["skewness"] == 0.0
+        assert d["excess_kurtosis"] == 0.0
+
     def test_single_value(self):
         d = characterize_instance([3.0]).as_dict()
         assert d["min"] == d["max"] == d["median"] == d["mode"] == 3.0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -16,6 +17,7 @@ from cpdp_ifs.stats import (
     prf,
     wilcoxon_signed_rank,
     _midranks,
+    _student_t_two_sided_p,
 )
 
 from oracles import wilcoxon_exact_oracle
@@ -319,7 +321,7 @@ class TestPearson:
 
 
 class TestScipyStatsParity:
-    """The numpy midranks and the stdtr p-value replace scipy.stats calls."""
+    """The numpy midranks and the math-only t tail replace scipy.stats calls."""
 
     @given(st.lists(st.integers(0, 6).map(lambda v: v / 4.0), min_size=1, max_size=30))
     def test_midranks_match_rankdata_bitwise(self, values):
@@ -327,7 +329,8 @@ class TestScipyStatsParity:
         expected = scipy.stats.rankdata(magnitudes, method="average")
         assert np.array_equal(_midranks(magnitudes), expected)
 
-    def test_pearson_p_matches_t_sf_bitwise(self):
+    def test_pearson_p_matches_t_sf_to_six_decimals(self):
+        # dpr_analysis.csv writes p with six decimals.
         rng = np.random.default_rng(18)
         for _ in range(50):
             n = int(rng.integers(3, 30))
@@ -335,4 +338,29 @@ class TestScipyStatsParity:
             y = 0.3 * x + rng.normal(size=n)
             r, p = pearson(x, y)
             t = r * math.sqrt((n - 2) / (1.0 - r * r))
-            assert p == min(1.0, 2.0 * float(scipy.stats.t.sf(abs(t), n - 2)))
+            want = min(1.0, 2.0 * float(scipy.stats.t.sf(abs(t), n - 2)))
+            assert f"{p:.6f}" == f"{want:.6f}"
+
+
+class TestStudentTTail:
+    T_VALUES = (0.0, 1e-300, 1e-9, 1e-3, 0.5, 1.0, 2.0, 3.0, 30.0, 1e8)
+
+    @staticmethod
+    def reference(t, df):
+        with mpmath.workdps(50):
+            t = mpmath.mpf(t)
+            x = df / (df + t * t)
+            return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+    def test_two_sided_tail_within_1e13_of_mpmath(self):
+        # scipy's stdtr misses this bound: at df=1, t=1e-9 it gives exactly 1.
+        for df in [*range(1, 60), 100, 10000]:
+            for t in self.T_VALUES:
+                assert abs(_student_t_two_sided_p(t, df) - self.reference(t, df)) <= 1e-13, (t, df)
+
+    @given(st.floats(0.0, 50.0), st.integers(1, 59))
+    def test_two_sided_tail_random_points(self, t, df):
+        assert abs(_student_t_two_sided_p(t, df) - self.reference(t, df)) <= 1e-13
+
+    def test_sign_of_t_is_ignored(self):
+        assert _student_t_two_sided_p(-2.5, 7) == _student_t_two_sided_p(2.5, 7)
