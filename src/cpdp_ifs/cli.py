@@ -4,8 +4,9 @@ Subcommands: ``ingest`` validates and summarizes the configured data sets,
 ``run`` executes the full experiment and writes the report directory,
 ``compare`` runs the paired significance test, ``dpr`` reports the defect
 proneness ratio of a source/target pair, and ``box`` prints boxplot
-summaries. Exit codes: 0 success, 1 config/usage error, 2 data error,
-3 run finished with partial failures.
+summaries. ``run`` takes only ``--config`` and ``--out``; every other run
+setting is a config key. Exit codes: 0 success, 1 config/usage error,
+2 data error, 3 run finished with partial failures.
 """
 
 from __future__ import annotations
@@ -53,11 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the configured experiment")
     run.add_argument("--config", required=True, help="experiment config (JSON)")
-    run.add_argument("--out", help="report directory (overrides the config)")
-    run.add_argument("--workers", type=int, help="thread pool size (overrides the config)")
-    run.add_argument(
-        "--log-filter", action="store_true", help="apply ln(x+1) before normalization"
-    )
+    run.add_argument("--out", help="report directory (overrides the config's output_dir)")
 
     compare = sub.add_parser("compare", help="paired significance test on two score columns")
     compare.add_argument("--csv", help="CSV file holding paired score columns")
@@ -129,17 +126,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    updates: dict = {}
     if args.out:
-        updates["output_dir"] = args.out
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be a positive integer")
-        updates["workers"] = args.workers
-    if args.log_filter:
-        updates["preprocessing"] = dataclasses.replace(config.preprocessing, log_filter=True)
-    if updates:
-        config = dataclasses.replace(config, **updates)
+        config = dataclasses.replace(config, output_dir=args.out)
 
     bundle = run_plan(config)
     out_dir = Path(config.output_dir)

@@ -11,14 +11,18 @@ to six decimals, manifest free of timestamps).
 from __future__ import annotations
 
 import csv
+import enum
 import hashlib
 import itertools
 import json
 import re
+import sys
+import typing
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -66,6 +70,13 @@ class DatasetSpec:
     feature_names: tuple[str, ...] = ()
     alias_map: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for required in ("name", "path"):
+            if not getattr(self, required):
+                raise ValueError(f"{required} must not be empty")
+        if self.format not in ("", "csv", "arff"):
+            raise ValueError(f"unknown format {self.format!r}")
+
     def resolved_format(self) -> str:
         if self.format:
             return self.format
@@ -74,43 +85,39 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; each field but ``base_dir`` is a config key."""
+
     datasets: tuple[DatasetSpec, ...]
-    methods: tuple[Method, ...]
+    methods: tuple[Method, ...] = tuple(Method)
     preprocessing: PreprocessConfig = PreprocessConfig()
     learner: LearnerParams = LearnerParams()
     output_dir: str = "results"
     workers: int = 1
     base_dir: Path | None = None
 
+    def __post_init__(self) -> None:
+        if not self.datasets:
+            raise ValueError("datasets must not be empty")
+        names = [spec.name for spec in self.datasets]
+        if len(set(names)) != len(names):
+            raise ValueError("dataset names must be unique")
+        if not self.methods:
+            raise ValueError("methods must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be unique")
+        missing = {Method.CPDP_PURE, Method.IFS_OUR} - set(self.methods)
+        if Method.MIX in self.methods and missing:
+            raise ValueError("mix requires both cpdp_pure and ifs_our to be configured")
+        if self.workers < 1:
+            raise ValueError("workers must be a positive integer")
+
     def to_dict(self) -> dict:
         """Canonical dict of everything that defines the run (no base_dir)."""
-        return {
-            "datasets": [
-                {
-                    "name": spec.name,
-                    "path": spec.path,
-                    "family": spec.family,
-                    "format": spec.resolved_format(),
-                    "label_column": spec.label_column,
-                    "feature_names": list(spec.feature_names),
-                    "alias_map": dict(sorted(spec.alias_map.items())),
-                }
-                for spec in self.datasets
-            ],
-            "methods": [m.value for m in self.methods],
-            "preprocessing": {
-                "log_filter": self.preprocessing.log_filter,
-                "normalize": self.preprocessing.normalize,
-            },
-            "learner": {
-                "ridge": self.learner.ridge,
-                "max_iterations": self.learner.max_iterations,
-                "tolerance": self.learner.tolerance,
-                "decision_threshold": self.learner.decision_threshold,
-            },
-            "output_dir": self.output_dir,
-            "workers": self.workers,
-        }
+        echo = asdict(self)
+        del echo["base_dir"]
+        for spec, entry in zip(self.datasets, echo["datasets"]):
+            entry["format"] = spec.resolved_format()
+        return echo
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -118,97 +125,76 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_CONFIG_KEYS = {"datasets", "methods", "preprocessing", "learner", "output_dir", "workers"}
-_DATASET_KEYS = {"name", "path", "family", "format", "label_column", "feature_names", "alias_map"}
+_JSON_TYPES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    tuple: "a list",
+    Mapping: "an object",
+}
 
 
-def _parse_dataset(entry: object, index: int) -> DatasetSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"datasets[{index}] must be an object")
-    unknown = set(entry) - _DATASET_KEYS
+def _json_value(value: object, hint: object, key: str) -> object:
+    """``value`` as a field of type ``hint``, which fixes its JSON type: a
+    bool is not an int, an int serves as a float, and floats are finite."""
+    if is_dataclass(hint):
+        return _read_object(hint, value, key)
+    if isinstance(hint, enum.EnumMeta):
+        if value not in [member.value for member in hint]:
+            shown = json.dumps(value, default=repr)
+            raise ConfigError(f"{key}: unknown {hint.__name__.lower()} {shown}")
+        return hint(value)
+    kind = typing.get_origin(hint) or hint
+    if kind is tuple and type(value) is list:
+        item = typing.get_args(hint)[0]
+        return tuple(_json_value(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    if kind is Mapping and type(value) is dict:
+        item = typing.get_args(hint)[1]
+        return {name: _json_value(v, item, f"{key}.{name}") for name, v in value.items()}
+    # abs() compares exactly, so NaN, infinities and ints beyond any float fail.
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind in (bool, int, str) and type(value) is kind:
+        return value
+    shown = json.dumps(value, default=repr)
+    raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {shown}")
+
+
+def _read_object(cls: type, raw: object, where: str, **given: object):
+    """The config dataclass ``cls`` read from the JSON object ``raw``.
+
+    Its fields are the object's keys, their types the values' types, and
+    their defaults fill absent keys; fields in ``given`` are set by the
+    caller, not read. ``where`` is the object's key path, "" at the root.
+    """
+    label = where or "config"
+    if type(raw) is not dict:
+        raise ConfigError(f"{label} must be a JSON object")
+    keys = [f for f in fields(cls) if f.name not in given]
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
-        raise ConfigError(f"datasets[{index}] has unknown keys: {sorted(unknown)}")
-    for required in ("name", "path"):
-        if not entry.get(required):
-            raise ConfigError(f"datasets[{index}] is missing {required!r}")
-    fmt = str(entry.get("format", ""))
-    if fmt not in ("", "csv", "arff"):
-        raise ConfigError(f"datasets[{index}] has unknown format {fmt!r}")
-    return DatasetSpec(
-        name=str(entry["name"]),
-        path=str(entry["path"]),
-        family=str(entry.get("family", "default")),
-        format=fmt,
-        label_column=str(entry.get("label_column", "bug")),
-        feature_names=tuple(str(n) for n in entry.get("feature_names", [])),
-        alias_map={str(k): str(v) for k, v in dict(entry.get("alias_map", {})).items()},
-    )
+        accepted = ", ".join(repr(f.name) for f in keys)
+        raise ConfigError(
+            f"{label} has unknown keys: {sorted(unknown)}; {label} accepts only {accepted}"
+        )
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for f in keys:
+        if f.name in raw:
+            key = f"{where}.{f.name}" if where else f.name
+            values[f.name] = _json_value(raw[f.name], hints[f.name], key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{label} is missing {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {label} settings: {exc}") from None
 
 
 def parse_config(payload: object, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a parsed JSON payload and apply defaults."""
-    if not isinstance(payload, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    raw_datasets = payload.get("datasets")
-    if not isinstance(raw_datasets, list) or not raw_datasets:
-        raise ConfigError("config needs a non-empty 'datasets' list")
-    datasets = tuple(_parse_dataset(entry, i) for i, entry in enumerate(raw_datasets))
-    names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise ConfigError("dataset names must be unique")
-
-    raw_methods = payload.get("methods", [m.value for m in Method])
-    try:
-        methods = tuple(Method(m) for m in raw_methods)
-    except ValueError as exc:
-        raise ConfigError(f"unknown method in config: {exc}") from None
-    if not methods:
-        raise ConfigError("config needs at least one method")
-    if len(set(methods)) != len(methods):
-        raise ConfigError("methods must be unique")
-    if Method.MIX in methods:
-        missing = {Method.CPDP_PURE, Method.IFS_OUR} - set(methods)
-        if missing:
-            raise ConfigError("mix requires both cpdp_pure and ifs_our to be configured")
-
-    pre_raw = payload.get("preprocessing", {})
-    if not isinstance(pre_raw, dict) or set(pre_raw) - {"log_filter", "normalize"}:
-        raise ConfigError("preprocessing accepts only 'log_filter' and 'normalize'")
-    preprocessing = PreprocessConfig(
-        log_filter=bool(pre_raw.get("log_filter", False)),
-        normalize=bool(pre_raw.get("normalize", True)),
-    )
-
-    learner_raw = payload.get("learner", {})
-    if not isinstance(learner_raw, dict):
-        raise ConfigError("'learner' must be an object")
-    try:
-        learner = LearnerParams(
-            ridge=float(learner_raw.get("ridge", 1e-8)),
-            max_iterations=int(learner_raw.get("max_iterations", 200)),
-            tolerance=float(learner_raw.get("tolerance", 1e-8)),
-            decision_threshold=float(learner_raw.get("decision_threshold", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid learner settings: {exc}") from None
-
-    workers = payload.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
-    return ExperimentConfig(
-        datasets=datasets,
-        methods=methods,
-        preprocessing=preprocessing,
-        learner=learner,
-        output_dir=str(payload.get("output_dir", "results")),
-        workers=workers,
-        base_dir=base_dir,
-    )
+    return _read_object(ExperimentConfig, payload, "", base_dir=base_dir)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

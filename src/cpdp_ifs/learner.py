@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,12 +33,12 @@ class LearnerParams:
     decision_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be finite and non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError("decision_threshold must lie strictly between 0 and 1")
 
@@ -265,12 +265,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "weights": [float(w) for w in model.weights],
         "intercept": model.intercept,
         "feature_names": list(model.feature_names),
-        "params": {
-            "ridge": model.params.ridge,
-            "max_iterations": model.params.max_iterations,
-            "tolerance": model.params.tolerance,
-            "decision_threshold": model.params.decision_threshold,
-        },
+        "params": asdict(model.params),
         "meta": {
             "iterations": model.meta.iterations,
             "final_log_likelihood": model.meta.final_log_likelihood,

@@ -82,15 +82,17 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     mode, variation_ratio = _mode_and_variation_ratio(v)
     q1 = np.quantile(v, 0.25, axis=1)
     q3 = np.quantile(v, 0.75, axis=1)
-    variance = v.var(axis=1, ddof=1) if n > 1 else np.zeros(m)
+    # The mean of a constant row of large values misses it by rounding, and
+    # that noise can exceed the absolute threshold, so equal ends count as
+    # no spread at all.
+    flat = maximum == minimum
+    variance = np.where(flat, 0.0, v.var(axis=1, ddof=1)) if n > 1 else np.zeros(m)
     sd = np.sqrt(variance)
     deviations = v - mean[:, None]
-    mad = np.abs(deviations).mean(axis=1)
+    mad = np.where(flat, 0.0, np.abs(deviations).mean(axis=1))
 
     sd_pop = np.sqrt((deviations**2).mean(axis=1))
-    # A constant row of large values leaves rounding noise in sd_pop that
-    # can exceed the absolute threshold, so equal ends count as no spread.
-    spread = (sd_pop >= _DEGENERATE_SPREAD) & (maximum > minimum)
+    spread = (sd_pop >= _DEGENERATE_SPREAD) & ~flat
     z = deviations / np.where(spread, sd_pop, 1.0)[:, None]
     skewness = np.where(spread, (z**3).mean(axis=1), 0.0)
     kurtosis = np.where(spread, (z**4).mean(axis=1) - 3.0, 0.0)

@@ -4,6 +4,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The test corpora draw with the demo corpus generator's planted_matrix.
+sys.path.insert(0, str(Path(__file__).parents[1] / "scripts"))
 
 settings.register_profile(
     "suite",

@@ -166,13 +166,14 @@ def _indicator_values(values: np.ndarray) -> np.ndarray:
     mode, variation_ratio = _mode_and_variation_ratio(v)
     q1 = float(np.quantile(v, 0.25))
     q3 = float(np.quantile(v, 0.75))
-    variance = float(v.var(ddof=1)) if n > 1 else 0.0
+    flat = maximum == minimum
+    variance = float(v.var(ddof=1)) if n > 1 and not flat else 0.0
     sd = math.sqrt(variance)
     deviations = v - mean
-    mad = float(np.mean(np.abs(deviations)))
+    mad = 0.0 if flat else float(np.mean(np.abs(deviations)))
 
     sd_pop = math.sqrt(float(np.mean(deviations**2)))
-    if sd_pop < _DEGENERATE_SPREAD or maximum == minimum:
+    if sd_pop < _DEGENERATE_SPREAD or flat:
         skewness = 0.0
         kurtosis = 0.0
     else:

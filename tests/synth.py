@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
+from make_demo_corpus import planted_matrix
 
 
 def planted_project(
@@ -21,14 +22,7 @@ def planted_project(
     feature_names: tuple[str, ...] | None = None,
 ) -> Project:
     """A project whose defective instances have a subset of inflated metrics."""
-    matrix = rng.gamma(2.0, 1.5, size=(n_instances, n_features))
-    labels = (rng.random(n_instances) < defect_rate).astype(int)
-    if labels.sum() == 0:
-        labels[0] = 1
-    if labels.sum() == n_instances:
-        labels[0] = 0
-    planted = rng.choice(n_features, size=max(1, n_features // 3), replace=False)
-    matrix[np.ix_(labels == 1, planted)] *= 1.0 + signal
+    matrix, labels = planted_matrix(rng, n_instances, n_features, defect_rate, signal)
     if feature_names is None:
         feature_names = tuple(f"{family}_m{i}" for i in range(n_features))
     schema = FeatureSchema(feature_names=feature_names, label_column="bug")

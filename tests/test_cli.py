@@ -91,11 +91,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "no common metrics" in err
 
-    def test_invalid_workers_override_exits_1(self, corpus_dir, capsys):
-        code = main(
-            ["run", "--config", str(corpus_dir / "config.json"), "--workers", "0"]
+    def test_run_accepts_only_config_and_out(self, corpus_dir, capsys):
+        for flag in (["--workers", "1"], ["--log-filter"]):
+            code = main(["run", "--config", str(corpus_dir / "config.json"), *flag])
+            assert code == EXIT_CONFIG
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_exits_1_without_traceback(self, tmp_path):
+        config = {"datasets": [{"name": "a", "path": "a.csv", "alias_map": 5}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cpdp_ifs.cli", "run", "--config",
+             str(tmp_path / "config.json")],
+            capture_output=True,
+            text=True,
         )
-        assert code == EXIT_CONFIG
+        assert result.returncode == EXIT_CONFIG
+        assert "config error: datasets[0].alias_map" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text('{"surprise": 1}', encoding="utf-8")

@@ -73,7 +73,7 @@ class TestParseConfig:
 
     def test_unknown_top_level_key_rejected(self):
         for key in ("extra", "seed", "repeats"):
-            with pytest.raises(ConfigError, match="unknown config keys"):
+            with pytest.raises(ConfigError, match="config has unknown keys"):
                 parse_config(minimal_payload(**{key: 1}))
 
     def test_unknown_dataset_key_rejected(self):
@@ -93,8 +93,10 @@ class TestParseConfig:
             parse_config(payload)
 
     def test_missing_datasets_rejected(self):
-        with pytest.raises(ConfigError, match="non-empty 'datasets'"):
+        with pytest.raises(ConfigError, match="missing 'datasets'"):
             parse_config({"methods": ["cpdp_pure"]})
+        with pytest.raises(ConfigError, match="datasets must not be empty"):
+            parse_config(minimal_payload(datasets=[]))
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -112,12 +114,24 @@ class TestParseConfig:
         config = parse_config(minimal_payload(methods=["cpdp_pure", "ifs_our", "mix"]))
         assert Method.MIX in config.methods
 
-    @pytest.mark.parametrize("field,value", [
-        ("workers", 0), ("workers", -1), ("workers", "2"),
+    @pytest.mark.parametrize("key,value", [
+        ("workers", 0), ("workers", -1), ("workers", "2"), ("workers", True),
+        ("preprocessing.normalize", "false"), ("preprocessing.log_filter", "no"),
+        ("learner.max_iterations", 2.7), ("learner.max_iterations", True),
+        ("learner.ridge", float("nan")), ("learner.tolerance", float("inf")),
+        ("datasets.0.alias_map", 5), ("datasets.0.alias_map", "ab"),
+        ("datasets.0.feature_names", 5), ("methods", 5),
     ])
-    def test_invalid_scalars_rejected(self, field, value):
-        with pytest.raises(ConfigError):
-            parse_config(minimal_payload(**{field: value}))
+    def test_invalid_scalars_rejected(self, key, value):
+        # ``key`` is a dotted path into the payload; list indices are digits.
+        payload = minimal_payload()
+        *parents, name = key.split(".")
+        node = payload
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+        node[name] = value
+        with pytest.raises(ConfigError, match=name):
+            parse_config(payload)
 
     def test_invalid_learner_settings_rejected(self):
         with pytest.raises(ConfigError, match="invalid learner settings"):
@@ -151,6 +165,27 @@ class TestConfigHash:
         a = parse_config(minimal_payload())
         b = parse_config(minimal_payload(learner={"ridge": 0.5}))
         assert config_hash(a) != config_hash(b)
+
+    def test_pinned_payload_digest(self):
+        # Recorded with the hand-written config parser, before the reader was
+        # derived from the config dataclasses.
+        payload = {
+            "datasets": [
+                {"name": "a", "path": "a.csv", "family": "f", "label_column": "defects",
+                 "feature_names": ["loc", "cbo"],
+                 "alias_map": {"lines": "loc", "coupling": "cbo"}},
+                {"name": "b", "path": "b.arff", "family": "g", "format": "arff"},
+            ],
+            "methods": ["cpdp_pure", "ifs_our", "mix"],
+            "preprocessing": {"log_filter": True, "normalize": False},
+            "learner": {"ridge": 2, "max_iterations": 50, "tolerance": 1e-6,
+                        "decision_threshold": 0.4},
+            "output_dir": "out",
+            "workers": 3,
+        }
+        assert config_hash(parse_config(payload)) == (
+            "a9014c118d294829e25b3724af92b529d9844d92370473a21ef8bab8ec7e4181"
+        )
 
     def test_sensitive_to_dataset_order(self):
         payload = minimal_payload()

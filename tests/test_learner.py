@@ -52,6 +52,10 @@ class TestLearnerParams:
             {"tolerance": 0.0},
             {"decision_threshold": 0.0},
             {"decision_threshold": 1.0},
+            {"ridge": float("nan")},
+            {"ridge": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

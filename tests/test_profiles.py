@@ -93,8 +93,11 @@ class TestCharacterizeInstance:
     def test_constant_large_vector_has_no_shape(self):
         # The computed mean misses 123456.7 by rounding, so the population
         # spread is 1.6e-11, above the degenerate threshold; a row with equal
-        # ends still has no skewness or excess kurtosis.
+        # ends still has no spread, skewness or excess kurtosis.
         d = characterize_instance([123456.7] * 7).as_dict()
+        assert d["variance"] == 0.0
+        assert d["standard_deviation"] == 0.0
+        assert d["mean_absolute_deviation"] == 0.0
         assert d["skewness"] == 0.0
         assert d["excess_kurtosis"] == 0.0
 
