@@ -24,11 +24,12 @@ from cpdp_ifs.experiment import (
     ConfigError,
     DataError,
     DPR_IMPROVEMENT_THRESHOLD,
+    BoxplotSummary,
     emit_boxplot_summary,
     load_config,
     load_projects,
     run_plan,
-    write_boxplot_summary,
+    write_table,
 )
 from cpdp_ifs.stats import compare_paired, dpr
 
@@ -95,19 +96,25 @@ def _read_csv_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
     return list(reader.fieldnames), rows
 
 
-def _column(rows: list[dict[str, str]], name: str, path: str) -> np.ndarray:
+def _column(
+    header: list[str], rows: list[dict[str, str]], name: str, path: str, parse=float
+) -> list:
+    """Column ``name`` of a ``_read_csv_rows`` table, each cell ``parse``d;
+    a missing column or an empty or unparsable cell is a data error."""
+    if name not in header:
+        raise DataFormatError(f"{path}: column {name!r} not found")
     values = []
     for i, row in enumerate(rows, start=1):
         cell = row.get(name)
         if cell is None or cell == "":
             raise DataFormatError(f"{path}: missing value in column {name!r} at data row {i}")
         try:
-            values.append(float(cell))
+            values.append(parse(cell))
         except ValueError:
             raise DataFormatError(
                 f"{path}: non-numeric value {cell!r} in column {name!r} at data row {i}"
             ) from None
-    return np.array(values)
+    return values
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -152,17 +159,22 @@ def _compare_from_csv(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]
     y_col = args.y_col or (header[1] if len(header) > 1 else None)
     if y_col is None:
         raise DataFormatError(f"{args.csv}: need two columns for a paired comparison")
-    return _column(rows, x_col, args.csv), _column(rows, y_col, args.csv)
+    x, y = (np.array(_column(header, rows, col, args.csv)) for col in (x_col, y_col))
+    return x, y
 
 
 def _compare_from_results(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
     if not (args.method_a and args.method_b):
         raise ConfigError("--results needs --method-a and --method-b")
     path = str(Path(args.results) / "best_per_target.csv")
-    _, rows = _read_csv_rows(path)
+    header, rows = _read_csv_rows(path)
+    methods, targets, f_measures = (
+        _column(header, rows, name, path, parse)
+        for name, parse in (("method", str), ("target", str), ("f_measure", float))
+    )
     scores: dict[str, dict[str, float]] = {}
-    for row in rows:
-        scores.setdefault(row["method"], {})[row["target"]] = float(row["f_measure"])
+    for method, target, f_measure in zip(methods, targets, f_measures):
+        scores.setdefault(method, {})[target] = f_measure
     for method in (args.method_a, args.method_b):
         if method not in scores:
             raise DataError(f"{path}: no rows for method {method!r}")
@@ -217,21 +229,15 @@ def _cmd_box(args: argparse.Namespace) -> int:
         # The report holds this table, computed from the unrounded f-measures.
         sys.stdout.write((Path(args.results) / "boxplot_summary.csv").read_text(encoding="utf-8"))
         return EXIT_OK
-    path, group_col, value_col = args.csv, args.group_col, args.value_col
-    header, rows = _read_csv_rows(path)
-    for column in (group_col, value_col):
-        if column not in header:
-            raise DataFormatError(f"{path}: column {column!r} not found")
+    header, rows = _read_csv_rows(args.csv)
     groups: dict[str, list[float]] = {}
-    for i, row in enumerate(rows, start=1):
-        try:
-            value = float(row[value_col])
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: non-numeric value {row[value_col]!r} at data row {i}"
-            ) from None
-        groups.setdefault(row[group_col], []).append(value)
-    write_boxplot_summary(sys.stdout, emit_boxplot_summary({g: groups[g] for g in sorted(groups)}))
+    for group, value in zip(
+        _column(header, rows, args.group_col, args.csv, str),
+        _column(header, rows, args.value_col, args.csv),
+    ):
+        groups.setdefault(group, []).append(value)
+    summaries = emit_boxplot_summary({g: groups[g] for g in sorted(groups)})
+    write_table(sys.stdout, BoxplotSummary, summaries)
     return EXIT_OK
 
 

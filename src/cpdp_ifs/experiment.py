@@ -76,6 +76,10 @@ class DatasetSpec:
                 raise ValueError(f"{required} must not be empty")
         if self.format not in ("", "csv", "arff"):
             raise ValueError(f"unknown format {self.format!r}")
+        self.schema()  # a repeated or label-colliding feature name is a config fault
+
+    def schema(self) -> FeatureSchema:
+        return FeatureSchema(self.feature_names, self.label_column, self.alias_map)
 
     def resolved_format(self) -> str:
         if self.format:
@@ -218,24 +222,47 @@ def load_projects(config: ExperimentConfig) -> tuple[Project, ...]:
         path = Path(spec.path)
         if not path.is_absolute():
             path = base / path
-        schema = FeatureSchema(
-            feature_names=spec.feature_names,
-            label_column=spec.label_column,
-            alias_map=spec.alias_map,
-        )
         loader = load_arff if spec.resolved_format() == "arff" else load_csv
         try:
-            projects.append(loader(path, schema, name=spec.name, family=spec.family))
+            projects.append(loader(path, spec.schema(), name=spec.name, family=spec.family))
         except (OSError, ValueError) as exc:
             raise DataError(f"dataset {spec.name!r}: {exc}") from exc
     return tuple(projects)
 
 
+# Report rows: each frozen dataclass below is one report table's schema,
+# written by ``write_table``; its fields are the table's columns, in order.
+
+
+@dataclass(frozen=True)
+class ResultRow:
+    method: Method
+    source: str
+    target: str
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+    precision: float
+    recall: float
+    f_measure: float
+
+
+@dataclass(frozen=True)
+class BestRow:
+    method: Method
+    target: str
+    source: str
+    precision: float
+    recall: float
+    f_measure: float
+
+
 @dataclass(frozen=True)
 class FailureRecord:
     method: Method
-    source_name: str
-    target_name: str
+    source_name: str = field(metadata={"csv": "source"})
+    target_name: str = field(metadata={"csv": "target"})
     error: str
 
 
@@ -254,7 +281,7 @@ class ComparisonRow:
 class DprRow:
     target: str
     pure_source: str
-    dpr_value: float | None
+    dpr_value: float | None = field(metadata={"csv": "dpr"})
     f_pure: float | None
     f_mix: float | None
     improvement: float | None
@@ -587,55 +614,24 @@ def _fmt(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ";".join(map(_fmt, value))
     return str(value)
 
 
-def _write_table(
-    handle: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> None:
+def write_table(handle: TextIO, row_type: type, rows: Iterable[object]) -> None:
+    """One CSV table of ``row_type`` dataclass rows.
+
+    The header is the row type's field names in order, or a field's ``csv``
+    metadata where the column is named otherwise; cells go through ``_fmt``.
+    """
+    columns = fields(row_type)
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow([f.metadata.get("csv", f.name) for f in columns])
     for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        _write_table(handle, header, rows)
-
-
-def write_boxplot_summary(handle: TextIO, boxplots: Iterable[BoxplotSummary]) -> None:
-    """The ``boxplot_summary.csv`` table, also printed by ``cpdp-ifs box``."""
-    _write_table(
-        handle,
-        [
-            "group",
-            "n",
-            "minimum",
-            "first_quartile",
-            "median",
-            "third_quartile",
-            "maximum",
-            "lower_whisker",
-            "upper_whisker",
-            "outliers",
-        ],
-        (
-            [
-                b.group,
-                b.n,
-                b.minimum,
-                b.first_quartile,
-                b.median,
-                b.third_quartile,
-                b.maximum,
-                b.lower_whisker,
-                b.upper_whisker,
-                ";".join(f"{v:.6f}" for v in b.outliers),
-            ]
-            for b in boxplots
-        ),
-    )
+        writer.writerow([_fmt(getattr(row, f.name)) for f in columns])
 
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
@@ -643,94 +639,32 @@ _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
 
 def write_report(bundle: ReportBundle, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    _write_csv(
-        out_dir / "results.csv",
-        ["method", "source", "target", "tp", "fp", "tn", "fn", "precision", "recall", "f_measure"],
-        (
-            [
-                o.method.value,
-                o.source_name,
-                o.target_name,
-                o.confusion.tp,
-                o.confusion.fp,
-                o.confusion.tn,
-                o.confusion.fn,
-                o.precision,
-                o.recall,
-                o.f_measure,
-            ]
-            for o in bundle.outcomes
+    tables = {
+        "results.csv": (
+            ResultRow,
+            (
+                ResultRow(
+                    o.method, o.source_name, o.target_name, o.confusion.tp, o.confusion.fp,
+                    o.confusion.tn, o.confusion.fn, o.precision, o.recall, o.f_measure,
+                )
+                for o in bundle.outcomes
+            ),
         ),
-    )
-
-    _write_csv(
-        out_dir / "best_per_target.csv",
-        ["method", "target", "source", "precision", "recall", "f_measure"],
-        (
-            [o.method.value, o.target_name, o.source_name, o.precision, o.recall, o.f_measure]
-            for o in bundle.best
+        "best_per_target.csv": (
+            BestRow,
+            (
+                BestRow(o.method, o.target_name, o.source_name, o.precision, o.recall, o.f_measure)
+                for o in bundle.best
+            ),
         ),
-    )
-
-    _write_csv(
-        out_dir / "comparisons.csv",
-        ["method_a", "method_b", "n_targets", "statistic", "p_value", "cliffs_delta", "note"],
-        (
-            [
-                row.method_a.value,
-                row.method_b.value,
-                row.n_targets,
-                row.statistic,
-                row.p_value,
-                row.cliffs_delta,
-                row.note,
-            ]
-            for row in bundle.comparisons
-        ),
-    )
-
-    _write_csv(
-        out_dir / "dpr_analysis.csv",
-        [
-            "target",
-            "pure_source",
-            "dpr",
-            "f_pure",
-            "f_mix",
-            "improvement",
-            "low_dpr",
-            "within_appropriate_range",
-            "pearson_r",
-            "pearson_p",
-            "note",
-        ],
-        (
-            [
-                row.target,
-                row.pure_source,
-                row.dpr_value,
-                row.f_pure,
-                row.f_mix,
-                row.improvement,
-                row.low_dpr,
-                row.within_appropriate_range,
-                row.pearson_r,
-                row.pearson_p,
-                row.note,
-            ]
-            for row in bundle.dpr_rows
-        ),
-    )
-
-    with open(out_dir / "boxplot_summary.csv", "w", newline="", encoding="utf-8") as handle:
-        write_boxplot_summary(handle, bundle.boxplots)
-
-    _write_csv(
-        out_dir / "failures.csv",
-        ["method", "source", "target", "error"],
-        ([f.method.value, f.source_name, f.target_name, f.error] for f in bundle.failures),
-    )
+        "comparisons.csv": (ComparisonRow, bundle.comparisons),
+        "dpr_analysis.csv": (DprRow, bundle.dpr_rows),
+        "boxplot_summary.csv": (BoxplotSummary, bundle.boxplots),
+        "failures.csv": (FailureRecord, bundle.failures),
+    }
+    for name, (row_type, rows) in tables.items():
+        with open(out_dir / name, "w", newline="", encoding="utf-8") as handle:
+            write_table(handle, row_type, rows)
 
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)

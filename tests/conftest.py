@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).parent))
 # The test corpora draw with the demo corpus generator's planted_matrix.
 sys.path.insert(0, str(Path(__file__).parents[1] / "scripts"))
+# The report digest rule is the benchmark's own.
+sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
 
 settings.register_profile(
     "suite",

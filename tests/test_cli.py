@@ -27,6 +27,12 @@ def report_dir(corpus_dir, tmp_path_factory):
     return out
 
 
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "cpdp_ifs.cli", *args], capture_output=True, text=True
+    )
+
+
 class TestIngest:
     def test_summarizes_every_dataset(self, corpus_dir, capsys):
         code = main(["ingest", "--config", str(corpus_dir / "config.json")])
@@ -40,6 +46,13 @@ class TestIngest:
         code = main(["ingest", "--config", str(tmp_path / "absent.json")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_colliding_feature_names_exit_1(self, tmp_path, capsys):
+        config = {"datasets": [{"name": "a", "path": "a.csv", "feature_names": ["loc", "LOC"]}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code = main(["ingest", "--config", str(tmp_path / "config.json")])
+        assert code == EXIT_CONFIG
+        assert "config error: invalid datasets[0] settings" in capsys.readouterr().err
 
     def test_broken_dataset_exits_2(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("a,bug\n1,oops\n", encoding="utf-8")
@@ -194,6 +207,19 @@ class TestCompare:
         assert code == EXIT_DATA
         assert "no rows for method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["method", "target", "f_measure"])
+    def test_results_missing_column_exits_2(self, tmp_path, column):
+        header = ["method", "target", "source", "f_measure"]
+        rows = [["cpdp_pure", "t", "s", "0.5"], ["ifs_our", "t", "s", "0.4"]]
+        keep = [i for i, name in enumerate(header) if name != column]
+        lines = [",".join(row[i] for i in keep) for row in [header, *rows]]
+        (tmp_path / "best_per_target.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run_cli("compare", "--results", str(tmp_path),
+                         "--method-a", "cpdp_pure", "--method-b", "ifs_our")
+        assert result.returncode == EXIT_DATA
+        assert f"column {column!r} not found" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_degenerate_pairing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
         path.write_text("a,b\n0.5,0.5\n0.6,0.6\n", encoding="utf-8")
@@ -297,6 +323,14 @@ class TestBox:
         code = main(["box", "--csv", str(path), "--group-col", "nope"])
         assert code == EXIT_DATA
         assert "not found" in capsys.readouterr().err
+
+    def test_short_row_exits_2(self, tmp_path):
+        path = tmp_path / "vals.csv"
+        path.write_text("method,f_measure\nx,1.0\ny\n", encoding="utf-8")
+        result = run_cli("box", "--csv", str(path))
+        assert result.returncode == EXIT_DATA
+        assert "missing value in column 'f_measure' at data row 2" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG

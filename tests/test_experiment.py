@@ -38,6 +38,7 @@ from cpdp_ifs.predictors import (
 from cpdp_ifs.profiles import INDICATOR_NAMES
 from cpdp_ifs.stats import ConfusionMatrix
 
+from checks import report_digest
 from oracles import reference_best_sources
 from synth import corpus_projects, planted_project, write_corpus
 
@@ -131,6 +132,19 @@ class TestParseConfig:
             node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
         node[name] = value
         with pytest.raises(ConfigError, match=name):
+            parse_config(payload)
+
+    @pytest.mark.parametrize("settings", [
+        {"feature_names": ["loc", "LOC"]},
+        {"feature_names": ["loc", "bug"]},
+        {"feature_names": ["loc", "cbo"], "alias_map": {"cbo": "loc"}},
+    ])
+    def test_invalid_feature_schema_rejected(self, settings):
+        # A repeated, aliased-together or label-named feature is a config
+        # fault, found before any data set is read.
+        payload = minimal_payload()
+        payload["datasets"][1].update(settings)
+        with pytest.raises(ConfigError, match=r"invalid datasets\[1\] settings: .*feature names"):
             parse_config(payload)
 
     def test_invalid_learner_settings_rejected(self):
@@ -498,19 +512,10 @@ def test_degenerate_failures_replay_per_pair(workers):
 GOLDEN_REPORT_DIGEST = "7634928dc51da385cf538e00351565a66a1f6fadbf9fe076648cad57e53d1fc5"
 
 
-def report_digest(report_dir: Path) -> str:
-    """SHA-256 over the result CSVs, ``models/*.json`` and the manifest
-    without its config echo (``config``, ``config_hash``); file names are
-    hashed with the contents."""
-    digest = hashlib.sha256()
-    for path in sorted(report_dir.glob("*.csv")) + sorted(report_dir.glob("models/*.json")):
-        digest.update(path.relative_to(report_dir).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes() + b"\0")
-    manifest = json.loads((report_dir / "manifest.json").read_text(encoding="utf-8"))
-    for key in ("config", "config_hash"):
-        manifest.pop(key, None)
-    digest.update(json.dumps(manifest, sort_keys=True).encode())
-    return digest.hexdigest()
+# The degenerate corpus's report with all four methods, recorded before the
+# report tables became row dataclasses. It pins what neither golden corpus
+# reaches: failure rows, empty cells, true/false cells and quoted notes.
+DEGENERATE_REPORT_DIGEST = "ea780bc52ee53948f3b779bee713c732c70a98d1c489fe8cbce162a75ee87984"
 
 
 class TestWriteReport:
@@ -536,6 +541,15 @@ class TestWriteReport:
                 assert hashlib.sha256((corpus / name).read_bytes()).hexdigest() == digest, name
         run_plan(load_config(corpus / "config.json")).write(tmp_path / "report")
         assert report_digest(tmp_path / "report") == golden["reports"]["demo"]
+
+    def test_degenerate_report_matches_digest(self, tmp_path):
+        projects = degenerate_projects()
+        config = ExperimentConfig(
+            datasets=tuple(DatasetSpec(name=p.name, path="unused") for p in projects),
+            methods=tuple(Method),
+        )
+        run_plan(config, projects=projects).write(tmp_path / "report")
+        assert report_digest(tmp_path / "report") == DEGENERATE_REPORT_DIGEST
 
     def test_double_run_byte_identical(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle
