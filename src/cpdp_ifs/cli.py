@@ -174,7 +174,9 @@ def _compare_from_results(args: argparse.Namespace) -> tuple[np.ndarray, np.ndar
     )
     scores: dict[str, dict[str, float]] = {}
     for method, target, f_measure in zip(methods, targets, f_measures):
-        scores.setdefault(method, {})[target] = f_measure
+        if target in scores.setdefault(method, {}):
+            raise DataError(f"{path}: two rows for method {method!r} and target {target!r}")
+        scores[method][target] = f_measure
     for method in (args.method_a, args.method_b):
         if method not in scores:
             raise DataError(f"{path}: no rows for method {method!r}")

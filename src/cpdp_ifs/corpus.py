@@ -9,10 +9,12 @@ collected by different groups can be compared by feature identity.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -63,12 +65,14 @@ class FeatureSchema:
     feature_names: tuple[str, ...] = ()
     label_column: str = "bug"
     alias_map: Mapping[str, str] = field(default_factory=dict)
+    _canonical: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         aliases = {str(k).strip().lower(): str(v).strip().lower() for k, v in self.alias_map.items()}
         object.__setattr__(self, "alias_map", aliases)
-        canon = self.canonical_names()
+        canon = tuple(map(self.canonical, self.feature_names))
+        object.__setattr__(self, "_canonical", canon)
         if len(set(canon)) != len(canon):
             raise DataFormatError("duplicate feature names after canonicalization")
         if self.canonical(self.label_column) in canon:
@@ -79,7 +83,7 @@ class FeatureSchema:
         return self.alias_map.get(low, low)
 
     def canonical_names(self) -> tuple[str, ...]:
-        return tuple(self.canonical(n) for n in self.feature_names)
+        return self._canonical
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,46 @@ def _select_columns(
     return indices, label_idx, names
 
 
+_RowFault = Callable[[list[str], int], str | None]
+_LabelOf = Callable[[str, int], int]
+
+
+def _project_from_cells(
+    header: list[str], rows: list[list[str]], columns: tuple[list[int], int, list[str]],
+    schema_config: FeatureSchema, name: str, family: str,
+    row_fault: _RowFault, label_of: _LabelOf,
+) -> Project:
+    """A Project from a file's data rows of cells, the same for every format.
+
+    ``row_fault`` gives a row's format fault, if any; ``label_of`` turns a
+    label cell into 0/1 or raises. Cells are parsed in bulk; on any fault the
+    per-row loop runs instead and alone raises, for the first in row order.
+    """
+    feature_idx, label_idx, feature_names = columns
+    m, k = len(rows), len(feature_idx)
+    matrix = None
+    if k and not any(map(row_fault, rows, itertools.count(1))):
+        pick = itemgetter(*feature_idx)
+        cells = map(pick, rows) if k == 1 else itertools.chain.from_iterable(map(pick, rows))
+        label_cells = map(itemgetter(label_idx), rows)
+        try:
+            matrix = np.fromiter(map(float, cells), float, m * k).reshape(m, k)
+            labels = np.fromiter(map(label_of, label_cells, itertools.count(1)), np.int8, m)
+        except ValueError:
+            matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        matrix, labels = np.empty((m, k)), np.empty(m, np.int8)
+        for r, row in enumerate(rows):
+            fault = row_fault(row, r + 1)
+            if fault is not None:
+                raise DataFormatError(fault)
+            for c, idx in enumerate(feature_idx):
+                matrix[r, c] = _parse_feature_cell(row[idx], r + 1, header[idx])
+            labels[r] = label_of(row[label_idx], r + 1)
+    schema = replace(schema_config, feature_names=tuple(feature_names))
+    return Project(name, family, schema, matrix, labels)
+
+
 def load_csv(
     path: str | Path,
     schema_config: FeatureSchema,
@@ -204,33 +248,19 @@ def load_csv(
     if not rows:
         raise DataFormatError(f"empty file: {path}")
     header = [h.strip() for h in rows[0]]
-    feature_idx, label_idx, feature_names = _select_columns(header, schema_config, str(path))
+    columns = _select_columns(header, schema_config, str(path))
     data_rows = rows[1:]
     if not data_rows:
         raise DataFormatError(f"empty file (header only): {path}")
 
-    matrix = np.empty((len(data_rows), len(feature_idx)))
-    labels = np.empty(len(data_rows), dtype=np.int8)
-    for r, row in enumerate(data_rows):
+    def row_fault(row: list[str], row_no: int) -> str | None:
         if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)}"
-            )
-        for c, idx in enumerate(feature_idx):
-            matrix[r, c] = _parse_feature_cell(row[idx], r + 1, header[idx])
-        labels[r] = binarize_label(row[label_idx])
+            return f"{path}: data row {row_no} has {len(row)} cells, expected {len(header)}"
+        return None
 
-    schema = FeatureSchema(
-        feature_names=tuple(feature_names),
-        label_column=schema_config.label_column,
-        alias_map=schema_config.alias_map,
-    )
-    return Project(
-        name=name or path.stem,
-        dataset_family=family,
-        schema=schema,
-        matrix=matrix,
-        labels=labels,
+    return _project_from_cells(
+        header, data_rows, columns, schema_config, name or path.stem, family,
+        row_fault, lambda cell, row_no: binarize_label(cell),
     )
 
 
@@ -309,47 +339,39 @@ def load_arff(
     header = [a[0] for a in attributes]
     kinds = {a[0]: a[1] for a in attributes}
     nominal_values = {a[0]: set(a[2]) for a in attributes if a[1] == "nominal"}
-    feature_idx, label_idx, feature_names = _select_columns(header, schema_config, str(path))
-    for i in feature_idx:
+    columns = _select_columns(header, schema_config, str(path))
+    for i in columns[0]:
         if kinds[header[i]] == "nominal":
             raise DataFormatError(
                 f"{path}: nominal attribute {header[i]!r} cannot be used as a feature"
             )
 
-    matrix = np.empty((len(data_lines), len(feature_idx)))
-    labels = np.empty(len(data_lines), dtype=np.int8)
-    for r, line in enumerate(data_lines):
-        if line.startswith("{"):
-            raise DataFormatError(f"{path}: sparse ARFF data is not supported (row {r + 1})")
-        cells = [c.strip() for c in line.split(",")]
+    label_name = header[columns[1]]
+
+    def row_fault(cells: list[str], row_no: int) -> str | None:
+        if cells[0].startswith("{"):
+            return f"{path}: sparse ARFF data is not supported (row {row_no})"
         if len(cells) != len(header):
-            raise DataFormatError(
-                f"{path}: row arity mismatch at data row {r + 1}: "
+            return (
+                f"{path}: row arity mismatch at data row {row_no}: "
                 f"{len(cells)} values for {len(header)} attributes"
             )
-        if any(c == "?" for c in cells):
-            raise DataFormatError(f"{path}: missing value ('?') at data row {r + 1}")
-        for c, idx in enumerate(feature_idx):
-            matrix[r, c] = _parse_feature_cell(cells[idx], r + 1, header[idx])
-        label_cell = cells[label_idx].strip().strip("'\"")
-        if kinds[header[label_idx]] == "nominal" and label_cell not in nominal_values[header[label_idx]]:
-            raise DataFormatError(
-                f"{path}: unknown value token {label_cell!r} at data row {r + 1} "
-                f"(declared: {sorted(nominal_values[header[label_idx]])})"
-            )
-        labels[r] = binarize_label(label_cell)
+        if "?" in cells:
+            return f"{path}: missing value ('?') at data row {row_no}"
+        return None
 
-    schema = FeatureSchema(
-        feature_names=tuple(feature_names),
-        label_column=schema_config.label_column,
-        alias_map=schema_config.alias_map,
-    )
-    return Project(
-        name=name or path.stem,
-        dataset_family=family,
-        schema=schema,
-        matrix=matrix,
-        labels=labels,
+    def label_of(cell: str, row_no: int) -> int:
+        cell = cell.strip("'\"")
+        if kinds[label_name] == "nominal" and cell not in nominal_values[label_name]:
+            raise DataFormatError(
+                f"{path}: unknown value token {cell!r} at data row {row_no} "
+                f"(declared: {sorted(nominal_values[label_name])})"
+            )
+        return binarize_label(cell)
+
+    rows = [list(map(str.strip, line.split(","))) for line in data_lines]
+    return _project_from_cells(
+        header, rows, columns, schema_config, name or path.stem, family, row_fault, label_of
     )
 
 
@@ -375,17 +397,8 @@ def intersect_features(a: Project, b: Project) -> tuple[Project, Project]:
     b_cols = [b_index[cname] for cname in common]
 
     def restricted(project: Project, cols: list[int]) -> Project:
-        schema = FeatureSchema(
-            feature_names=tuple(project.schema.feature_names[i] for i in cols),
-            label_column=project.schema.label_column,
-            alias_map=project.schema.alias_map,
-        )
-        return Project(
-            name=project.name,
-            dataset_family=project.dataset_family,
-            schema=schema,
-            matrix=project.matrix[:, cols],
-            labels=project.labels,
-        )
+        names = tuple(project.schema.feature_names[i] for i in cols)
+        schema = replace(project.schema, feature_names=names)
+        return replace(project, schema=schema, matrix=project.matrix[:, cols])
 
     return restricted(a, a_cols), restricted(b, b_cols)

@@ -351,14 +351,8 @@ def best_per_target(
     for outcome in outcomes:
         key = (outcome.method.value, outcome.target_name)
         current = best.get(key)
-        if (
-            current is None
-            or outcome.f_measure > current.f_measure
-            or (
-                outcome.f_measure == current.f_measure
-                and outcome.source_name < current.source_name
-            )
-        ):
+        rank = (-outcome.f_measure, outcome.source_name)
+        if current is None or rank < (-current.f_measure, current.source_name):
             best[key] = outcome
     return best
 
@@ -451,31 +445,16 @@ def _build_comparisons(
         targets_a = {t for (m, t) in best if m == method_a.value}
         targets_b = {t for (m, t) in best if m == method_b.value}
         common = sorted(targets_a & targets_b)
-        if not common:
-            rows.append(
-                ComparisonRow(method_a, method_b, 0, None, None, None, "no common targets")
-            )
-            continue
-        x = np.array([best[(method_a.value, t)].f_measure for t in common])
-        y = np.array([best[(method_b.value, t)].f_measure for t in common])
-        try:
-            result = compare_paired(x, y)
-        except ValueError as exc:
-            rows.append(
-                ComparisonRow(method_a, method_b, len(common), None, None, None, str(exc))
-            )
-            continue
-        rows.append(
-            ComparisonRow(
-                method_a,
-                method_b,
-                len(common),
-                result.statistic,
-                result.p_value,
-                result.cliffs_delta,
-                result.method_note,
-            )
-        )
+        test: tuple = (None, None, None, "no common targets")
+        if common:
+            x = np.array([best[(method_a.value, t)].f_measure for t in common])
+            y = np.array([best[(method_b.value, t)].f_measure for t in common])
+            try:
+                result = compare_paired(x, y)
+                test = (result.statistic, result.p_value, result.cliffs_delta, result.method_note)
+            except ValueError as exc:
+                test = (None, None, None, str(exc))
+        rows.append(ComparisonRow(method_a, method_b, len(common), *test))
     return tuple(rows)
 
 

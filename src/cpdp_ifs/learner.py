@@ -105,31 +105,38 @@ def _penalized_objective(
     w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
 ) -> tuple[float, float]:
     """(objective, log-likelihood) of -loglik + (ridge/2)*||weights||^2."""
-    eta = design @ w
+    return _objective_at(design @ w, w, y, ridge, _penalty_mask(w.size))
+
+
+def _objective_at(
+    eta: np.ndarray, w: np.ndarray, y: np.ndarray, ridge: float, mask: np.ndarray
+) -> tuple[float, float]:
+    """The penalized objective given the linear predictor ``eta = design @ w``."""
     # log(1 + e^eta) via logaddexp stays finite for large |eta|
     log_lik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
-    penalty = 0.5 * ridge * float(np.sum((_penalty_mask(w.size) * w) ** 2))
+    penalty = 0.5 * ridge * float(np.sum((mask * w) ** 2))
     return -log_lik + penalty, log_lik
 
 
 def _penalized_gradient(
     w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
 ) -> np.ndarray:
-    return _gradient_at(_expit(design @ w), w, design, y, ridge)
+    return _gradient_at(_expit(design @ w), w, design, y, ridge * _penalty_mask(w.size))
 
 
 def _gradient_at(
-    prob: np.ndarray, w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
+    prob: np.ndarray, w: np.ndarray, design: np.ndarray, y: np.ndarray, ridges: np.ndarray
 ) -> np.ndarray:
-    """The penalized gradient given the fitted probabilities ``_expit(design @ w)``."""
-    return design.T @ (prob - y) + ridge * _penalty_mask(w.size) * w
+    """The penalized gradient given the fitted probabilities ``_expit(design @ w)``
+    and each parameter's ridge, ``ridge * _penalty_mask(w.size)``."""
+    return design.T @ (prob - y) + ridges * w
 
 
-def _solve_newton(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+def _solve_newton(hessian: np.ndarray, gradient: np.ndarray, identity: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(8):
         try:
-            return np.linalg.solve(hessian + jitter * np.eye(hessian.shape[0]), gradient)
+            return np.linalg.solve(hessian + jitter * identity, gradient)
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
     raise DegenerateTrainingError("degenerate training set: singular normal equations")
@@ -163,38 +170,45 @@ def train(
         raise DegenerateTrainingError("degenerate training set: all labels belong to one class")
 
     X1 = np.hstack([np.ones((m, 1)), X])
-    penalized = _penalty_mask(n + 1)
+    # Built once per fit: the penalty mask, the ridges and the Hessian's terms.
+    mask = _penalty_mask(n + 1)
+    ridges = params.ridge * mask
+    ridge_diagonal = np.diag(ridges)
+    identity = np.eye(n + 1)
 
     w = np.zeros(n + 1)
-    current, log_lik = _penalized_objective(w, X1, y, params.ridge)
+    eta = X1 @ w
+    current, log_lik = _objective_at(eta, w, y, params.ridge, mask)
     history = [current]
     converged = False
     iterations = 0
 
     for _ in range(params.max_iterations):
-        prob = _expit(X1 @ w)
-        gradient = _gradient_at(prob, w, X1, y, params.ridge)
+        # ``eta`` is ``X1 @ w``: the accepted candidate's linear predictor.
+        prob = _expit(eta)
+        gradient = _gradient_at(prob, w, X1, y, ridges)
         if float(np.max(np.abs(gradient))) < _GRADIENT_FLOOR:
             converged = True
             break
         weight = prob * (1.0 - prob)
-        hessian = (X1 * weight[:, None]).T @ X1 + params.ridge * np.diag(penalized)
-        direction = _solve_newton(hessian, gradient)
+        hessian = (X1 * weight[:, None]).T @ X1 + ridge_diagonal
+        direction = _solve_newton(hessian, gradient, identity)
 
         iterations += 1
         step = 1.0
         accepted = None
         for _ in range(_MAX_HALVINGS):
             candidate = w - step * direction
-            value, cand_log_lik = _penalized_objective(candidate, X1, y, params.ridge)
+            candidate_eta = X1 @ candidate
+            value, cand_log_lik = _objective_at(candidate_eta, candidate, y, params.ridge, mask)
             if value <= current:
-                accepted = (candidate, value, cand_log_lik)
+                accepted = (candidate, candidate_eta, value, cand_log_lik)
                 break
             step *= 0.5
         if accepted is None:
             # No descent representable at machine precision; stop here.
             break
-        w, value, log_lik = accepted
+        w, eta, value, log_lik = accepted
         history.append(value)
         improvement = current - value
         current = value
@@ -266,12 +280,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "intercept": model.intercept,
         "feature_names": list(model.feature_names),
         "params": asdict(model.params),
-        "meta": {
-            "iterations": model.meta.iterations,
-            "final_log_likelihood": model.meta.final_log_likelihood,
-            "converged": model.meta.converged,
-            "objective_history": list(model.meta.objective_history),
-        },
+        "meta": asdict(model.meta),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,36 +84,46 @@ class RunMemo:
         return value
 
 
+class _Side(NamedTuple):
+    """One side of a pair; a Project or ProfiledProject serves as one."""
+
+    name: str
+    matrix: np.ndarray
+    labels: np.ndarray
+
+
 def _train_and_classify(
-    source_matrix: np.ndarray,
-    source_labels: np.ndarray,
-    target_matrix: np.ndarray,
-    target_labels: np.ndarray,
-    feature_names: Sequence[str],
     method: Method,
-    source_name: str,
-    target_name: str,
+    columns: tuple[str, ...],
+    feature_names: Sequence[str],
+    source: _Side,
+    target: _Side,
     preprocessing: PreprocessConfig,
     params: LearnerParams,
     memo: RunMemo,
 ) -> PredictionOutcome:
+    # ``columns`` are canonical names and ``feature_names`` the source's own.
     # Each side is transformed against its own column statistics, so no
-    # scaling leaks between them, and every target shares the source side.
-    key = (method, source_name, tuple(feature_names))
-    source_ready = memo.get(
-        ("source", *key), lambda: preprocess_matrix(source_matrix, preprocessing)[0]
+    # scaling leaks between them. A project's matrix over the same columns
+    # is prepared once, whichever side of a pair it is on.
+    source_ready, target_ready = (
+        memo.get(
+            ("prepared", method, side.name, columns),
+            lambda: preprocess_matrix(side.matrix, preprocessing)[0],
+        )
+        for side in (source, target)
     )
-    target_ready, _ = preprocess_matrix(target_matrix, preprocessing)
     model = memo.get(
-        ("model", *key), lambda: train(source_ready, source_labels, feature_names, params)
+        ("model", method, source.name, columns),
+        lambda: train(source_ready, source.labels, feature_names, params),
     )
     probabilities = predict_proba(model, target_ready)
     predicted = apply_threshold(probabilities, model.params.decision_threshold)
-    confusion = ConfusionMatrix.from_predictions(target_labels, predicted)
+    confusion = ConfusionMatrix.from_predictions(target.labels, predicted)
     precision, recall, f_measure = prf(confusion)
     return PredictionOutcome(
-        source_name=source_name,
-        target_name=target_name,
+        source_name=source.name,
+        target_name=target.name,
         method=method,
         predicted=predicted,
         probabilities=probabilities,
@@ -150,17 +160,9 @@ def run_cpdp_pure(
     target_index = {name: i for i, name in enumerate(target_canon)}
     target_cols = [target_index[name] for name in source_canon]
     return _train_and_classify(
-        source.matrix,
-        source.labels,
-        target.matrix[:, target_cols],
-        target.labels,
-        source.schema.feature_names,
-        Method.CPDP_PURE,
-        source.name,
-        target.name,
-        preprocessing,
-        params,
-        memo or RunMemo(),
+        Method.CPDP_PURE, source_canon, source.schema.feature_names,
+        source, _Side(target.name, target.matrix[:, target_cols], target.labels),
+        preprocessing, params, memo or RunMemo(),
     )
 
 
@@ -175,17 +177,9 @@ def run_ifs_min(
     _require_distinct(source, target)
     source_common, target_common = intersect_features(source, target)
     return _train_and_classify(
-        source_common.matrix,
-        source_common.labels,
-        target_common.matrix,
-        target_common.labels,
-        source_common.schema.feature_names,
-        Method.IFS_MIN,
-        source.name,
-        target.name,
-        preprocessing,
-        params,
-        memo or RunMemo(),
+        Method.IFS_MIN, source_common.schema.canonical_names(), source_common.schema.feature_names,
+        source_common, target_common,
+        preprocessing, params, memo or RunMemo(),
     )
 
 
@@ -210,17 +204,9 @@ def run_ifs_our(
     )
     indicator_config = PreprocessConfig(log_filter=False, normalize=preprocessing.normalize)
     return _train_and_classify(
-        source_profiled.matrix,
-        source_profiled.labels,
-        target_profiled.matrix,
-        target_profiled.labels,
-        INDICATOR_NAMES,
-        Method.IFS_OUR,
-        source.name,
-        target.name,
-        indicator_config,
-        params,
-        memo,
+        Method.IFS_OUR, INDICATOR_NAMES, INDICATOR_NAMES,
+        source_profiled, target_profiled,
+        indicator_config, params, memo,
     )
 
 

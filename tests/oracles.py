@@ -258,3 +258,271 @@ def reference_best_sources(rows: list[dict[str, str]]) -> dict[tuple[str, str], 
     for row in ranked:
         best.setdefault((row["method"], row["target"]), row["source"])
     return best
+
+
+# The per-cell loaders that filled a Project one cell at a time, before the
+# bulk parse: the reference for every message and every bit the loaders
+# give. They return (matrix, labels, feature names) and raise the package's
+# DataFormatError, whose type the CLI maps to exit 2.
+_TRUE_TOKENS = {"true", "yes", "y", "buggy", "defective", "bug", "defect"}
+_FALSE_TOKENS = {"false", "no", "n", "clean", "non-defective", "nondefective", "nonbuggy"}
+
+
+def _reference_label(token: str) -> int:
+    from cpdp_ifs.corpus import DataFormatError
+
+    tok = str(token).strip().strip("'\"")
+    try:
+        value = float(tok)
+    except ValueError:
+        low = tok.lower()
+        if low in _TRUE_TOKENS:
+            return 1
+        if low in _FALSE_TOKENS:
+            return 0
+        raise DataFormatError(f"unknown value token {token!r} in label column") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite label value {token!r}")
+    return 1 if value > 0 else 0
+
+
+def _reference_cell(cell: str, row_no: int, column: str) -> float:
+    from cpdp_ifs.corpus import DataFormatError
+
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataFormatError(
+            f"non-numeric feature cell {cell!r} at data row {row_no}, column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite feature cell at data row {row_no}, column {column!r}")
+    return value
+
+
+def _reference_columns(header, schema, origin):
+    from cpdp_ifs.corpus import DataFormatError
+
+    canon_header = [schema.canonical(h) for h in header]
+    label_canon = schema.canonical(schema.label_column)
+    if label_canon not in canon_header:
+        raise DataFormatError(f"{origin}: label column {schema.label_column!r} not found")
+    label_idx = canon_header.index(label_canon)
+    if schema.feature_names:
+        indices = []
+        for canon in schema.canonical_names():
+            if canon not in canon_header:
+                raise DataFormatError(f"{origin}: feature column {canon!r} not found")
+            indices.append(canon_header.index(canon))
+    else:
+        indices = [i for i in range(len(header)) if i != label_idx]
+        selected = [canon_header[i] for i in indices]
+        if len(set(selected)) != len(selected):
+            dupes = sorted({n for n in selected if selected.count(n) > 1})
+            raise DataFormatError(f"{origin}: duplicate feature names {dupes}")
+    return indices, label_idx, [header[i].strip() for i in indices]
+
+
+def reference_load_csv(path, schema):
+    """The per-cell CSV loader: (matrix, labels, feature names)."""
+    import csv
+
+    from cpdp_ifs.corpus import DataFormatError
+
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise DataFormatError(f"empty file: {path}")
+    header = [h.strip() for h in rows[0]]
+    feature_idx, label_idx, names = _reference_columns(header, schema, str(path))
+    data_rows = rows[1:]
+    if not data_rows:
+        raise DataFormatError(f"empty file (header only): {path}")
+    matrix = np.empty((len(data_rows), len(feature_idx)))
+    labels = np.empty(len(data_rows), dtype=np.int8)
+    for r, row in enumerate(data_rows):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)}"
+            )
+        for c, idx in enumerate(feature_idx):
+            matrix[r, c] = _reference_cell(row[idx], r + 1, header[idx])
+        labels[r] = _reference_label(row[label_idx])
+    return matrix, labels, names
+
+
+def _reference_attribute(line, path):
+    from cpdp_ifs.corpus import DataFormatError
+
+    malformed = DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+    rest = line[len("@attribute"):].strip()
+    if not rest:
+        raise malformed
+    if rest[0] in "'\"":
+        end = rest.find(rest[0], 1)
+        if end < 0:
+            raise malformed
+        attr_name, type_spec = rest[1:end], rest[end + 1:].strip()
+    else:
+        parts = rest.split(None, 1)
+        if len(parts) != 2:
+            raise malformed
+        attr_name, type_spec = parts[0], parts[1].strip()
+    if not attr_name or not type_spec:
+        raise malformed
+    if type_spec.startswith("{"):
+        if not type_spec.endswith("}"):
+            raise malformed
+        values = tuple(v.strip().strip("'\"") for v in type_spec[1:-1].split(","))
+        if not all(values):
+            raise malformed
+        return attr_name, "nominal", values
+    if type_spec.lower() in ("numeric", "real", "integer"):
+        return attr_name, "numeric", ()
+    raise DataFormatError(
+        f"{path}: unsupported attribute type {type_spec!r} (only numeric and nominal)"
+    )
+
+
+def reference_load_arff(path, schema):
+    """The per-cell dense-ARFF loader: (matrix, labels, feature names)."""
+    from cpdp_ifs.corpus import DataFormatError
+
+    attributes, data_lines = [], []
+    saw_relation = in_data = False
+    with open(path, encoding="utf-8-sig") as handle:
+        for raw in handle:
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            low = line.lower()
+            if in_data:
+                data_lines.append(line)
+            elif low.startswith("@relation"):
+                saw_relation = True
+            elif low.startswith("@attribute"):
+                attributes.append(_reference_attribute(line, path))
+            elif low.startswith("@data"):
+                in_data = True
+            else:
+                raise DataFormatError(f"{path}: unexpected line before @data: {line!r}")
+    if not saw_relation:
+        raise DataFormatError(f"{path}: missing @relation declaration")
+    if not in_data:
+        raise DataFormatError(f"{path}: missing @data section")
+    if not attributes:
+        raise DataFormatError(f"{path}: no @attribute declarations")
+    if not data_lines:
+        raise DataFormatError(f"empty file (no data rows): {path}")
+
+    header = [a[0] for a in attributes]
+    kinds = {a[0]: a[1] for a in attributes}
+    nominal_values = {a[0]: set(a[2]) for a in attributes if a[1] == "nominal"}
+    feature_idx, label_idx, names = _reference_columns(header, schema, str(path))
+    for i in feature_idx:
+        if kinds[header[i]] == "nominal":
+            raise DataFormatError(
+                f"{path}: nominal attribute {header[i]!r} cannot be used as a feature"
+            )
+    matrix = np.empty((len(data_lines), len(feature_idx)))
+    labels = np.empty(len(data_lines), dtype=np.int8)
+    label_name = header[label_idx]
+    for r, line in enumerate(data_lines):
+        if line.startswith("{"):
+            raise DataFormatError(f"{path}: sparse ARFF data is not supported (row {r + 1})")
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise DataFormatError(
+                f"{path}: row arity mismatch at data row {r + 1}: "
+                f"{len(cells)} values for {len(header)} attributes"
+            )
+        if any(c == "?" for c in cells):
+            raise DataFormatError(f"{path}: missing value ('?') at data row {r + 1}")
+        for c, idx in enumerate(feature_idx):
+            matrix[r, c] = _reference_cell(cells[idx], r + 1, header[idx])
+        label_cell = cells[label_idx].strip().strip("'\"")
+        if kinds[label_name] == "nominal" and label_cell not in nominal_values[label_name]:
+            raise DataFormatError(
+                f"{path}: unknown value token {label_cell!r} at data row {r + 1} "
+                f"(declared: {sorted(nominal_values[label_name])})"
+            )
+        labels[r] = _reference_label(label_cell)
+    return matrix, labels, names
+
+
+# The damped Newton loop as it ran before each step reused the accepted
+# candidate's linear predictor: the bitwise reference for ``learner.train``.
+def _reference_expit(eta: np.ndarray) -> np.ndarray:
+    def exp_or_inf(v: float) -> float:
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    exps = np.array([exp_or_inf(-v) for v in np.asarray(eta, dtype=float).ravel().tolist()])
+    return 1.0 / (1.0 + exps.reshape(np.shape(eta)))
+
+
+def _reference_mask(n_params: int) -> np.ndarray:
+    mask = np.ones(n_params)
+    mask[0] = 0.0
+    return mask
+
+
+def _reference_objective(w, design, y, ridge):
+    eta = design @ w
+    log_lik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+    penalty = 0.5 * ridge * float(np.sum((_reference_mask(w.size) * w) ** 2))
+    return -log_lik + penalty, log_lik
+
+
+def reference_newton_fit(matrix, labels, ridge, max_iterations, tolerance):
+    """(weights, intercept, objective history, iterations, converged,
+    final log-likelihood) of the penalized logistic fit."""
+    X = np.asarray(matrix, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    m, n = X.shape
+    X1 = np.hstack([np.ones((m, 1)), X])
+    penalized = _reference_mask(n + 1)
+    w = np.zeros(n + 1)
+    current, log_lik = _reference_objective(w, X1, y, ridge)
+    history = [current]
+    converged = False
+    iterations = 0
+    for _ in range(max_iterations):
+        prob = _reference_expit(X1 @ w)
+        gradient = X1.T @ (prob - y) + ridge * _reference_mask(w.size) * w
+        if float(np.max(np.abs(gradient))) < 1e-10:
+            converged = True
+            break
+        weight = prob * (1.0 - prob)
+        hessian = (X1 * weight[:, None]).T @ X1 + ridge * np.diag(penalized)
+        jitter = 0.0
+        for _ in range(8):
+            try:
+                direction = np.linalg.solve(hessian + jitter * np.eye(hessian.shape[0]), gradient)
+                break
+            except np.linalg.LinAlgError:
+                jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
+        else:
+            raise ValueError("degenerate training set: singular normal equations")
+        iterations += 1
+        step = 1.0
+        accepted = None
+        for _ in range(60):
+            candidate = w - step * direction
+            value, cand_log_lik = _reference_objective(candidate, X1, y, ridge)
+            if value <= current:
+                accepted = (candidate, value, cand_log_lik)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        w, value, log_lik = accepted
+        history.append(value)
+        improvement = current - value
+        current = value
+        if improvement < tolerance:
+            converged = True
+            break
+    return w[1:].copy(), float(w[0]), tuple(history), iterations, converged, log_lik

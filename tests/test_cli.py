@@ -62,6 +62,27 @@ class TestIngest:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("p.csv", "a,b,bug\r\n1,2,0\r\n3,inf,1\r\n", "non-finite feature cell at data row 2"),
+            ("p.csv", "\ufeffa,bug\n1,0\n2,1,\n", "data row 2 has 3 cells, expected 2"),
+            (
+                "p.arff",
+                "@relation r\n@attribute a numeric\n@attribute bug {0,1}\n@data\n1,0\n{0 1}\n",
+                "sparse ARFF data is not supported (row 2)",
+            ),
+        ],
+    )
+    def test_malformed_dataset_exits_2_without_traceback(self, tmp_path, name, text, message):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        config = {"datasets": [{"name": "p", "path": name}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("ingest", "--config", str(tmp_path / "config.json"))
+        assert result.returncode == EXIT_DATA
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestRun:
     def test_writes_report(self, report_dir, capsys):
@@ -218,6 +239,24 @@ class TestCompare:
                          "--method-a", "cpdp_pure", "--method-b", "ifs_our")
         assert result.returncode == EXIT_DATA
         assert f"column {column!r} not found" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_results_duplicate_row_exits_2(self, tmp_path):
+        lines = [
+            "method,target,source,f_measure",
+            "cpdp_pure,t1,s,0.5",
+            "ifs_our,t1,s,0.4",
+            "cpdp_pure,t2,s,0.5",
+            "cpdp_pure,t2,s2,0.9",
+            "ifs_our,t2,s,0.4",
+        ]
+        path = tmp_path / "best_per_target.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run_cli("compare", "--results", str(tmp_path),
+                         "--method-a", "cpdp_pure", "--method-b", "ifs_our")
+        assert result.returncode == EXIT_DATA
+        assert str(path) in result.stderr
+        assert "two rows for method 'cpdp_pure' and target 't2'" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_degenerate_pairing_exits_2(self, tmp_path, capsys):

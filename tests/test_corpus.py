@@ -1,7 +1,14 @@
+import contextlib
+import io
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from cpdp_ifs.cli import EXIT_DATA, EXIT_OK, main
 
 from cpdp_ifs.corpus import (
     DataFormatError,
@@ -15,6 +22,7 @@ from cpdp_ifs.corpus import (
     summarize,
 )
 
+from oracles import reference_load_arff, reference_load_csv
 from synth import corpus_projects, write_project_arff, write_project_csv
 
 
@@ -281,6 +289,121 @@ class TestLoadArff:
         assert np.array_equal(from_csv.matrix, from_arff.matrix)
         assert np.array_equal(from_csv.labels, from_arff.labels)
         assert from_csv.schema.feature_names == from_arff.schema.feature_names
+
+
+# Cells both loaders must parse to the same bits, and cells (or rows) that
+# must end in the per-row reference's message.
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 2.5", "7 ", "-0", "+7", "1_000", ".5", "5.", "1E-300", "4.9e-324"]),
+)
+BAD_CELLS = st.sampled_from(["?", "nan", "NaN", "inf", "-Infinity", "1e999", "abc", "", " ", "0x10"])
+GOOD_LABELS = st.sampled_from(["clean", "buggy", "'buggy'", " buggy"])
+CSV_LABELS = st.one_of(GOOD_LABELS, st.sampled_from(["0", "1", "3", "true", "no"]))
+BAD_LABELS = st.sampled_from(["maybe", "nan", "?", "", "true"])
+
+
+@st.composite
+def cell_tables(draw, good_labels):
+    """(header, data rows, schema): a label column among 1-4 features and
+    1-6 rows, with up to two faults: a bad feature cell, a bad label, a '?'
+    in any column, or a row one cell short or long. The schema selects every
+    feature or some, in any order."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    label_at = draw(st.integers(0, n))
+    header = [f"m{i}" for i in range(n)]
+    header.insert(label_at, "bug")
+    rows = [
+        [draw(good_labels if j == label_at else GOOD_CELLS) for j in range(n + 1)]
+        for _ in range(m)
+    ]
+    kinds = ["cell", "label", "missing", "long", "short"]
+    faults = draw(st.lists(st.sampled_from(kinds), max_size=2))
+    for fault in sorted(faults, key=kinds.index):  # cell positions hold until "short"
+        row = rows[draw(st.integers(0, m - 1))]
+        if fault == "missing":
+            row[draw(st.integers(0, n))] = "?"
+        elif fault == "label":
+            row[label_at] = draw(BAD_LABELS)
+        elif fault == "cell":
+            column = draw(st.sampled_from([j for j in range(n + 1) if j != label_at]))
+            row[column] = draw(BAD_CELLS)
+        elif fault == "long" or len(row) == 1:
+            row.append("1")
+        else:
+            row.pop()
+    names = tuple(h for h in header if h != "bug")
+    if draw(st.booleans()):
+        names = tuple(draw(st.permutations(names))[: draw(st.integers(1, n))])
+    return header, rows, FeatureSchema(feature_names=names, label_column="bug")
+
+
+def _loaded(loader, path, schema):
+    """``loader``'s (matrix bytes, label bytes, names), or its error message."""
+    try:
+        project = loader(path, schema)
+        if isinstance(project, tuple):  # a reference loader: build what load_* built
+            matrix, labels, names = project
+            project = Project(path.stem, "default", replace(schema, feature_names=tuple(names)),
+                              matrix, labels)
+    except DataFormatError as exc:
+        return str(exc)
+    return project.matrix.tobytes(), project.labels.tobytes(), project.schema.feature_names
+
+
+def _ingest_exit_code(path, schema):
+    dataset = {"name": "p", "path": path.name, "feature_names": list(schema.feature_names)}
+    config = path.parent / "config.json"
+    config.write_text(json.dumps({"datasets": [dataset]}), "utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["ingest", "--config", str(config)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    """Both loaders against the per-cell reference in ``oracles``: the same
+    bits for well-formed files and the same first fault for malformed ones,
+    which the CLI turns into exit 2."""
+
+    @staticmethod
+    def check(loader, reference, path, schema):
+        want, got = _loaded(reference, path, schema), _loaded(loader, path, schema)
+        assert got == want
+        assert _ingest_exit_code(path, schema) == (EXIT_DATA if isinstance(want, str) else EXIT_OK)
+
+    @given(
+        cell_tables(CSV_LABELS), st.booleans(), st.booleans(), st.booleans(), st.booleans()
+    )
+    def test_csv(self, fuzz_dir, table, bom, crlf, quoted, trailing_comma):
+        header, rows, schema = table
+        names = [f'"{h}"' if quoted else h for h in header]
+        lines = [",".join(names), *(",".join(row) for row in rows)]
+        if trailing_comma:
+            lines = [line + "," for line in lines]
+        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        path = fuzz_dir / "fuzz.csv"
+        path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        self.check(load_csv, reference_load_csv, path, schema)
+
+    @given(cell_tables(GOOD_LABELS), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+    def test_arff(self, fuzz_dir, table, bom, crlf, quoted, sparse):
+        header, rows, schema = table
+        lines = ["% fuzzed", "@relation fuzz"]
+        for name in header:
+            kind = "{clean,buggy}" if name == "bug" else "numeric"
+            lines.append(f"@attribute {repr(name) if quoted else name} {kind}")
+        lines += ["", "@data", *(",".join(row) for row in rows)]
+        if sparse:
+            lines.append("{0 1, 1 2}")
+        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        path = fuzz_dir / "fuzz.arff"
+        path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        self.check(load_arff, reference_load_arff, path, schema)
 
 
 class TestSummarize:

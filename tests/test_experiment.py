@@ -402,7 +402,9 @@ class TestStageReuse:
         lock = threading.Lock()
         profiled: list[str] = []
         trained: list[tuple] = []
+        prepared: list[tuple] = []
         real_profile, real_train = predictors.characterize_project, predictors.train
+        real_prepare = predictors.preprocess_matrix
 
         def counting_profile(project, *args):
             with lock:
@@ -414,8 +416,14 @@ class TestStageReuse:
                 trained.append((tuple(feature_names), matrix.tobytes(), labels.tobytes()))
             return real_train(matrix, labels, feature_names, *args)
 
+        def counting_prepare(matrix, config):
+            with lock:
+                prepared.append(matrix.shape)
+            return real_prepare(matrix, config)
+
         monkeypatch.setattr(predictors, "characterize_project", counting_profile)
         monkeypatch.setattr(predictors, "train", counting_train)
+        monkeypatch.setattr(predictors, "preprocess_matrix", counting_prepare)
         bundle = run_plan(dataclasses.replace(config, workers=workers))
         assert bundle.failures == ()
 
@@ -429,19 +437,22 @@ class TestStageReuse:
         assert sorted(profiled) == sorted(in_profile_pairs)
 
         expected = set()
+        sides = set()  # each (method, project, canonical columns) a pair prepares
         for method in (Method.CPDP_PURE, Method.IFS_OUR, Method.IFS_MIN):
             for plan in enumerate_pairs(projects, method):
                 source = by_name[plan.source_name]
                 columns = {
-                    Method.CPDP_PURE: source.schema.feature_names,
+                    Method.CPDP_PURE: source.schema.canonical_names(),
                     Method.IFS_OUR: INDICATOR_NAMES,
                 }.get(method)
                 if columns is None:
                     shared, _ = intersect_features(source, by_name[plan.target_name])
-                    columns = shared.schema.feature_names
+                    columns = shared.schema.canonical_names()
                 expected.add((method, plan.source_name, columns))
+                sides.update((method, name, columns) for name in (plan.source_name, plan.target_name))
         assert len(trained) == len(expected)
         assert len(set(trained)) == len(trained)
+        assert len(prepared) == len(sides)
 
 
 def degenerate_projects():

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -24,7 +25,7 @@ from cpdp_ifs.learner import (
     train,
 )
 
-from oracles import grid_logistic_oracle
+from oracles import grid_logistic_oracle, reference_newton_fit
 
 
 def identity_model(weights, intercept=0.0, **params):
@@ -147,6 +148,42 @@ class TestTrain:
         model = train(X, y, ["a", "b"])
         assert np.all(np.isfinite(model.weights))
 
+    @given(st.data())
+    def test_bitwise_equal_to_reference_newton_loop(self, data):
+        m = data.draw(st.integers(2, 30), label="rows")
+        n = data.draw(st.integers(1, 4), label="columns")
+        X = data.draw(arrays(float, (m, n), elements=st.floats(-50.0, 50.0)), label="X")
+        kind = data.draw(st.sampled_from(["random", "separable", "collinear"]), label="kind")
+        if kind == "collinear":
+            X = np.hstack([X, 2.0 * X[:, :1] - X[:, -1:]])
+        if kind == "separable":
+            y = (X[:, 0] > np.median(X[:, 0])).astype(np.int8)
+        else:
+            y = data.draw(arrays(np.int8, m, elements=st.integers(0, 1)), label="y")
+        assume(0 < int(y.sum()) < m)
+        params = LearnerParams(
+            ridge=data.draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.5]), label="ridge"),
+            max_iterations=data.draw(st.sampled_from([1, 2, 200]), label="max_iterations"),
+            tolerance=data.draw(st.sampled_from([1e-8, 1e-3]), label="tolerance"),
+        )
+        names = [f"f{i}" for i in range(X.shape[1])]
+        try:
+            want = reference_newton_fit(
+                X, y, params.ridge, params.max_iterations, params.tolerance
+            )
+        except ValueError as exc:
+            with pytest.raises(DegenerateTrainingError, match=re.escape(str(exc))):
+                train(X, y, names, params)
+            return
+        model = train(X, y, names, params)
+        weights, intercept, history, iterations, converged, log_lik = want
+        assert model.weights.tobytes() == weights.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(intercept).tobytes()
+        assert np.array(model.meta.objective_history).tobytes() == np.array(history).tobytes()
+        assert model.meta.iterations == iterations
+        assert model.meta.converged == converged
+        assert model.meta.final_log_likelihood == log_lik
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             train(np.ones((3, 2)), np.array([0, 1]), ["a", "b"])
@@ -226,6 +263,27 @@ class TestGradient:
                 numeric[k] = (above - below) / (2.0 * h)
             scale = max(float(np.linalg.norm(analytic)), 1e-8)
             assert float(np.linalg.norm(analytic - numeric)) / scale < 1e-5
+
+    def test_train_runs_the_checked_objective_and_gradient(self, monkeypatch):
+        # The finite differences above check _penalized_objective and
+        # _penalized_gradient; train must run the code they delegate to.
+        calls: list[str] = []
+        for name in ("_objective_at", "_gradient_at"):
+            real = getattr(learner, name)
+            monkeypatch.setattr(
+                learner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        rng = np.random.default_rng(5)
+        design = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 2))])
+        y = (design[:, 1] + rng.normal(size=30) > 0).astype(float)
+        w = rng.normal(size=3)
+        _penalized_objective(w, design, y, 0.1)
+        _penalized_gradient(w, design, y, 0.1)
+        assert calls == ["_objective_at", "_gradient_at"]
+        model = train(design[:, 1:], y, ("a", "b"), LearnerParams(ridge=0.1))
+        assert model.meta.iterations >= 2
+        assert calls.count("_gradient_at") >= 1 + model.meta.iterations
+        assert calls.count("_objective_at") >= 2 + model.meta.iterations
 
 
 class TestPredictProba:

@@ -358,6 +358,13 @@ class TestStudentTTail:
             for t in self.T_VALUES:
                 assert abs(_student_t_two_sided_p(t, df) - self.reference(t, df)) <= 1e-13, (t, df)
 
+    @pytest.mark.parametrize("df", [10**4, 10**6, 10**8])
+    def test_large_df_within_1e13_of_mpmath(self, df):
+        # The fraction in x = df/(df+t^2), close to 1 here, was off by 7.8e-12
+        # (2.9e-9 relative) at df = 1e8, t = 3.
+        for t in (1.0, 2.0, 3.0, 5.0):
+            assert abs(_student_t_two_sided_p(t, df) - self.reference(t, df)) <= 1e-13, t
+
     @given(st.floats(0.0, 50.0), st.integers(1, 59))
     def test_two_sided_tail_random_points(self, t, df):
         assert abs(_student_t_two_sided_p(t, df) - self.reference(t, df)) <= 1e-13
