@@ -33,7 +33,6 @@ from cpdp_ifs.preprocess import NormalizationStats, PreprocessConfig, log_filter
 from cpdp_ifs.profiles import (
     INDICATOR_NAMES,
     CharacteristicVector,
-    ProfiledProject,
     characterize_instance,
     characterize_project,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "NormalizationStats",
     "PredictionOutcome",
     "PreprocessConfig",
-    "ProfiledProject",
     "Project",
     "characterize_instance",
     "characterize_project",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cpdp_ifs.corpus import DataFormatError
+from cpdp_ifs.corpus import DataFormatError, summarize
 from cpdp_ifs.experiment import (
     ConfigError,
     DataError,
@@ -120,8 +120,6 @@ def _column(
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     projects = load_projects(config)
-    from cpdp_ifs.corpus import summarize
-
     for project in projects:
         s = summarize(project)
         print(
@@ -214,8 +212,6 @@ def _cmd_dpr(args: argparse.Namespace) -> int:
         config,
         datasets=tuple(d for d in config.datasets if d.name in (args.source, args.target)),
     )
-    from cpdp_ifs.corpus import summarize
-
     summaries = {p.name: summarize(p) for p in load_projects(wanted)}
     value = dpr(summaries[args.source].defect_ratio, summaries[args.target].defect_ratio)
     low = value < DPR_IMPROVEMENT_THRESHOLD

@@ -173,6 +173,8 @@ def _select_columns(
     label_canon = schema.canonical(schema.label_column)
     if label_canon not in canon_header:
         raise DataFormatError(f"{origin}: label column {schema.label_column!r} not found")
+    if canon_header.count(label_canon) > 1:
+        raise DataFormatError(f"{origin}: duplicate label column {schema.label_column!r}")
     label_idx = canon_header.index(label_canon)
 
     if schema.feature_names:
@@ -180,6 +182,8 @@ def _select_columns(
         for canon in schema.canonical_names():
             if canon not in canon_header:
                 raise DataFormatError(f"{origin}: feature column {canon!r} not found")
+            if canon_header.count(canon) > 1:
+                raise DataFormatError(f"{origin}: duplicate feature names {[canon]}")
             indices.append(canon_header.index(canon))
     else:
         indices = [i for i in range(len(header)) if i != label_idx]
@@ -375,30 +379,23 @@ def load_arff(
     )
 
 
-def intersect_features(a: Project, b: Project) -> tuple[Project, Project]:
-    """Restrict both projects to their common canonical feature names.
+def intersect_features(
+    a: Project, b: Project
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """Align two projects on their common canonical feature names.
 
-    The shared columns come out in ``a``'s schema order in both results, so
-    position i refers to the same canonical metric on each side. Each result
-    keeps its own local metric names. Raises :class:`NoCommonMetricsError`
+    Returns the shared names in ``a``'s schema order and, for each project,
+    the column index of each shared name, so position i refers to the same
+    canonical metric on both sides. Raises :class:`NoCommonMetricsError`
     when the canonical name sets are disjoint.
     """
     a_canon = a.schema.canonical_names()
-    b_canon = b.schema.canonical_names()
-    b_index = {cname: i for i, cname in enumerate(b_canon)}
-    common = [cname for cname in a_canon if cname in b_index]
-    if not common:
+    b_index = {cname: i for i, cname in enumerate(b.schema.canonical_names())}
+    a_cols = tuple(i for i, cname in enumerate(a_canon) if cname in b_index)
+    if not a_cols:
         raise NoCommonMetricsError(
             f"no common metrics between {a.name!r} ({a.dataset_family}) "
             f"and {b.name!r} ({b.dataset_family})"
         )
-    a_index = {cname: i for i, cname in enumerate(a_canon)}
-    a_cols = [a_index[cname] for cname in common]
-    b_cols = [b_index[cname] for cname in common]
-
-    def restricted(project: Project, cols: list[int]) -> Project:
-        names = tuple(project.schema.feature_names[i] for i in cols)
-        schema = replace(project.schema, feature_names=names)
-        return replace(project, schema=schema, matrix=project.matrix[:, cols])
-
-    return restricted(a, a_cols), restricted(b, b_cols)
+    common = tuple(a_canon[i] for i in a_cols)
+    return common, a_cols, tuple(b_index[cname] for cname in common)

@@ -1,10 +1,12 @@
 """The four cross-project prediction routes.
 
 ``cpdp_pure`` trains directly on a source with the same metric schema.
-``ifs_our`` lifts both projects into the 16-indicator profile space, so the
-schemas may differ arbitrarily. ``ifs_min`` keeps only the metrics the two
-schemas share. ``mix`` fuses the pure and profile predictions with a
-defective-if-either rule.
+``ifs_min`` keeps only the metrics the two schemas share. ``ifs_our`` is
+``ifs_min`` over the profiles: it lifts both projects into the 16-indicator
+profile space, where the schemas always match, so the raw schemas may differ
+arbitrarily. All three align the two projects with ``intersect_features``
+and train through one path. ``mix`` fuses the pure and profile predictions
+with a defective-if-either rule.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
 from cpdp_ifs.corpus import Project, intersect_features
 from cpdp_ifs.learner import LearnerParams, Model, apply_threshold, predict_proba, train
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
-from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_project
+from cpdp_ifs.profiles import characterize_project
 from cpdp_ifs.stats import ConfusionMatrix, prf
 
 
@@ -84,38 +86,35 @@ class RunMemo:
         return value
 
 
-class _Side(NamedTuple):
-    """One side of a pair; a Project or ProfiledProject serves as one."""
-
-    name: str
-    matrix: np.ndarray
-    labels: np.ndarray
-
-
 def _train_and_classify(
     method: Method,
-    columns: tuple[str, ...],
-    feature_names: Sequence[str],
-    source: _Side,
-    target: _Side,
+    source: Project,
+    target: Project,
     preprocessing: PreprocessConfig,
     params: LearnerParams,
     memo: RunMemo,
 ) -> PredictionOutcome:
-    # ``columns`` are canonical names and ``feature_names`` the source's own.
-    # Each side is transformed against its own column statistics, so no
-    # scaling leaks between them. A project's matrix over the same columns
-    # is prepared once, whichever side of a pair it is on.
+    # Both sides are aligned on the canonical names they share, in the
+    # source's order. Each side is transformed against its own column
+    # statistics, so no scaling leaks between them. A project's matrix over
+    # the same columns is prepared once, whichever side of a pair it is on.
+    columns, source_cols, target_cols = intersect_features(source, target)
+
+    def prepare(side: Project, cols: tuple[int, ...]) -> np.ndarray:
+        # Every column in order is the matrix itself; a fancy index would copy it.
+        matrix = side.matrix if cols == tuple(range(side.n_features)) else side.matrix[:, cols]
+        return preprocess_matrix(matrix, preprocessing)[0]
+
     source_ready, target_ready = (
-        memo.get(
-            ("prepared", method, side.name, columns),
-            lambda: preprocess_matrix(side.matrix, preprocessing)[0],
-        )
-        for side in (source, target)
+        memo.get(("prepared", method, side.name, columns), lambda: prepare(side, cols))
+        for side, cols in ((source, source_cols), (target, target_cols))
     )
     model = memo.get(
         ("model", method, source.name, columns),
-        lambda: train(source_ready, source.labels, feature_names, params),
+        lambda: train(
+            source_ready, source.labels,
+            [source.schema.feature_names[i] for i in source_cols], params,
+        ),
     )
     probabilities = predict_proba(model, target_ready)
     predicted = apply_threshold(probabilities, model.params.decision_threshold)
@@ -153,16 +152,10 @@ def run_cpdp_pure(
     column layout in the files does not matter.
     """
     _require_distinct(source, target)
-    source_canon = source.schema.canonical_names()
-    target_canon = target.schema.canonical_names()
-    if set(source_canon) != set(target_canon):
+    if set(source.schema.canonical_names()) != set(target.schema.canonical_names()):
         raise ValueError("feature sets differ; use an IFS method")
-    target_index = {name: i for i, name in enumerate(target_canon)}
-    target_cols = [target_index[name] for name in source_canon]
     return _train_and_classify(
-        Method.CPDP_PURE, source_canon, source.schema.feature_names,
-        source, _Side(target.name, target.matrix[:, target_cols], target.labels),
-        preprocessing, params, memo or RunMemo(),
+        Method.CPDP_PURE, source, target, preprocessing, params, memo or RunMemo()
     )
 
 
@@ -175,11 +168,8 @@ def run_ifs_min(
 ) -> PredictionOutcome:
     """Restrict both projects to their shared metrics, then train directly."""
     _require_distinct(source, target)
-    source_common, target_common = intersect_features(source, target)
     return _train_and_classify(
-        Method.IFS_MIN, source_common.schema.canonical_names(), source_common.schema.feature_names,
-        source_common, target_common,
-        preprocessing, params, memo or RunMemo(),
+        Method.IFS_MIN, source, target, preprocessing, params, memo or RunMemo()
     )
 
 
@@ -198,16 +188,12 @@ def run_ifs_our(
     """
     _require_distinct(source, target)
     memo = memo or RunMemo()
-    source_profiled, target_profiled = (
+    source, target = (
         memo.get(("profile", p.name, preprocessing), lambda: characterize_project(p, preprocessing))
         for p in (source, target)
     )
     indicator_config = PreprocessConfig(log_filter=False, normalize=preprocessing.normalize)
-    return _train_and_classify(
-        Method.IFS_OUR, INDICATOR_NAMES, INDICATOR_NAMES,
-        source_profiled, target_profiled,
-        indicator_config, params, memo,
-    )
+    return _train_and_classify(Method.IFS_OUR, source, target, indicator_config, params, memo)
 
 
 def run_mix(

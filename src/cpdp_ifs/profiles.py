@@ -13,11 +13,11 @@ scaling can merge or split them. This shows only with ``normalize: false``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from cpdp_ifs.corpus import Project
+from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
 
 INDICATOR_NAMES: tuple[str, ...] = (
@@ -133,50 +133,19 @@ def characterize_instance(values: np.ndarray) -> CharacteristicVector:
     return CharacteristicVector(values=_indicator_matrix(row[np.newaxis, :])[0])
 
 
-@dataclass(frozen=True)
-class ProfiledProject:
-    """A project lifted into the shared 16-indicator feature space."""
-
-    name: str
-    dataset_family: str
-    matrix: np.ndarray
-    labels: np.ndarray
-    source_metric_count: int
-    indicator_names: tuple[str, ...] = field(default=INDICATOR_NAMES)
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int8)
-        if matrix.ndim != 2 or matrix.shape[1] != len(INDICATOR_NAMES):
-            raise ValueError(f"profiled matrix must have {len(INDICATOR_NAMES)} columns")
-        if labels.shape != (matrix.shape[0],):
-            raise ValueError("label count does not match profiled instances")
-        matrix.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_instances(self) -> int:
-        return self.matrix.shape[0]
-
-
 def characterize_project(
     project: Project, preprocessing: PreprocessConfig = PreprocessConfig()
-) -> ProfiledProject:
+) -> Project:
     """Preprocess a project, then profile every instance row.
 
     Preprocessing runs on the raw metric matrix (the project's own columns);
-    the indicators are computed from each transformed row. Use
-    ``PreprocessConfig(normalize=False)`` for projects with a single instance,
-    which cannot be z-scored.
+    the indicators are computed from each transformed row. The result is a
+    project over ``INDICATOR_NAMES`` with the same name, family and labels.
+    Use ``PreprocessConfig(normalize=False)`` for projects with a single
+    instance, which cannot be z-scored.
     """
     matrix, _ = preprocess_matrix(project.matrix, preprocessing)
-    profiled = _indicator_matrix(matrix)
-    return ProfiledProject(
-        name=project.name,
-        dataset_family=project.dataset_family,
-        matrix=profiled,
-        labels=project.labels,
-        source_metric_count=project.n_features,
+    return Project(
+        project.name, project.dataset_family, FeatureSchema(INDICATOR_NAMES),
+        _indicator_matrix(matrix), project.labels,
     )

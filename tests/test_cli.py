@@ -83,6 +83,34 @@ class TestIngest:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("p.csv", "loc,LOC,cbo,bug\n1,2,3,0\n4,5,6,1\n", "p.csv: duplicate feature names ['loc']"),
+            ("p.csv", "bug,loc,cbo,BUG\n0,1,2,1\n1,3,4,0\n", "p.csv: duplicate label column 'bug'"),
+            (
+                "p.arff",
+                "@relation r\n@attribute loc numeric\n@attribute LOC numeric\n"
+                "@attribute cbo numeric\n@attribute bug {0,1}\n@data\n1,2,3,0\n4,5,6,1\n",
+                "p.arff: duplicate feature names ['loc']",
+            ),
+            (
+                "p.arff",
+                "@relation r\n@attribute bug {0,1}\n@attribute loc numeric\n"
+                "@attribute cbo numeric\n@attribute BUG {0,1}\n@data\n0,1,2,1\n1,3,4,0\n",
+                "p.arff: duplicate label column 'bug'",
+            ),
+        ],
+    )
+    def test_repeated_selected_column_exits_2_without_traceback(self, tmp_path, name, text, message):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        config = {"datasets": [{"name": "p", "path": name, "feature_names": ["loc", "cbo"]}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("ingest", "--config", str(tmp_path / "config.json"))
+        assert result.returncode == EXIT_DATA
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestRun:
     def test_writes_report(self, report_dir, capsys):

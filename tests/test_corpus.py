@@ -422,18 +422,16 @@ class TestIntersectFeatures:
     def test_common_in_first_projects_order(self):
         a = make_project(["wmc", "dit", "loc"], [[1, 2, 3], [4, 5, 6]], [0, 1], name="a")
         b = make_project(["loc", "wmc", "cbo"], [[30, 10, 7], [60, 40, 8]], [1, 0], name="b")
-        ra, rb = intersect_features(a, b)
-        assert ra.schema.canonical_names() == ("wmc", "loc")
-        assert rb.schema.canonical_names() == ("wmc", "loc")
-        assert np.array_equal(ra.matrix, [[1, 3], [4, 6]])
-        assert np.array_equal(rb.matrix, [[10, 30], [40, 60]])
+        names, a_cols, b_cols = intersect_features(a, b)
+        assert names == ("wmc", "loc")
+        assert (a_cols, b_cols) == ((0, 2), (1, 0))
+        assert np.array_equal(a.matrix[:, a_cols], [[1, 3], [4, 6]])
+        assert np.array_equal(b.matrix[:, b_cols], [[10, 30], [40, 60]])
 
     def test_identical_schemas_identity(self):
         a = make_project(["x", "y"], [[1, 2], [3, 4]], [0, 1], name="a")
         b = make_project(["x", "y"], [[5, 6], [7, 8]], [1, 0], name="b")
-        ra, rb = intersect_features(a, b)
-        assert np.array_equal(ra.matrix, a.matrix)
-        assert np.array_equal(rb.matrix, b.matrix)
+        assert intersect_features(a, b) == (("x", "y"), (0, 1), (0, 1))
 
     def test_local_names_kept(self):
         b_schema = FeatureSchema(feature_names=("wmc",), label_column="bug")
@@ -450,9 +448,10 @@ class TestIntersectFeatures:
             matrix=np.array([[1.0], [2.0]]),
             labels=np.array([0, 1]),
         )
-        ra, rb = intersect_features(a, b)
-        assert ra.schema.feature_names == ("NumMethods",)
-        assert rb.schema.feature_names == ("wmc",)
+        names, a_cols, b_cols = intersect_features(a, b)
+        assert names == ("wmc",)
+        assert [a.schema.feature_names[i] for i in a_cols] == ["NumMethods"]
+        assert [b.schema.feature_names[i] for i in b_cols] == ["wmc"]
 
     def test_disjoint_raises(self):
         a = make_project(["a1"], [[1], [2]], [0, 1], name="a")
@@ -472,9 +471,18 @@ class TestIntersectFeatures:
             with pytest.raises(NoCommonMetricsError):
                 intersect_features(a, b)
             return
-        ra, rb = intersect_features(a, b)
-        assert ra.schema.canonical_names() == rb.schema.canonical_names()
-        assert set(ra.schema.canonical_names()) == common
+        names, a_cols, b_cols = intersect_features(a, b)
+        # position i names the same canonical metric on both sides
+        assert [a.schema.canonical_names()[i] for i in a_cols] == list(names)
+        assert [b.schema.canonical_names()[i] for i in b_cols] == list(names)
+        assert set(names) == common
         # order follows the first project's schema
         ordered = [n for n in a.schema.canonical_names() if n in common]
-        assert list(ra.schema.canonical_names()) == ordered
+        assert list(names) == ordered
+
+
+def test_every_exported_name_resolves():
+    import cpdp_ifs
+
+    missing = [name for name in cpdp_ifs.__all__ if not hasattr(cpdp_ifs, name)]
+    assert missing == []

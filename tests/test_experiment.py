@@ -26,7 +26,7 @@ from cpdp_ifs.experiment import (
     run_plan,
 )
 from cpdp_ifs import predictors
-from cpdp_ifs.corpus import intersect_features, summarize
+from cpdp_ifs.corpus import Project, intersect_features, summarize
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
@@ -35,7 +35,7 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.profiles import INDICATOR_NAMES
+from cpdp_ifs.profiles import characterize_project
 from cpdp_ifs.stats import ConfusionMatrix
 
 from checks import report_digest
@@ -436,23 +436,37 @@ class TestStageReuse:
         }
         assert sorted(profiled) == sorted(in_profile_pairs)
 
+        profiles = {p.name: characterize_project(p) for p in projects}
         expected = set()
         sides = set()  # each (method, project, canonical columns) a pair prepares
         for method in (Method.CPDP_PURE, Method.IFS_OUR, Method.IFS_MIN):
             for plan in enumerate_pairs(projects, method):
-                source = by_name[plan.source_name]
-                columns = {
-                    Method.CPDP_PURE: source.schema.canonical_names(),
-                    Method.IFS_OUR: INDICATOR_NAMES,
-                }.get(method)
-                if columns is None:
-                    shared, _ = intersect_features(source, by_name[plan.target_name])
-                    columns = shared.schema.canonical_names()
+                named = profiles if method is Method.IFS_OUR else by_name
+                columns, _, _ = intersect_features(named[plan.source_name], named[plan.target_name])
                 expected.add((method, plan.source_name, columns))
                 sides.update((method, name, columns) for name in (plan.source_name, plan.target_name))
         assert len(trained) == len(expected)
         assert len(set(trained)) == len(trained)
         assert len(prepared) == len(sides)
+
+    def test_projects_built_per_load_and_profile_never_per_pair(self, corpus_bundle, monkeypatch):
+        _, config, _ = corpus_bundle
+        projects = load_projects(config)
+        built: list[str] = []
+        real_post_init = Project.__post_init__
+
+        def counting_post_init(project):
+            built.append(project.name)
+            real_post_init(project)
+
+        monkeypatch.setattr(Project, "__post_init__", counting_post_init)
+        assert run_plan(config).failures == ()
+        profiled = {
+            name
+            for plan in enumerate_pairs(projects, Method.IFS_OUR)
+            for name in (plan.source_name, plan.target_name)
+        }
+        assert sorted(built) == sorted([p.name for p in projects] + list(profiled))
 
 
 def degenerate_projects():

@@ -18,7 +18,8 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.profiles import INDICATOR_NAMES
+from cpdp_ifs.preprocess import PreprocessConfig
+from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_project
 from cpdp_ifs.stats import ConfusionMatrix, prf
 
 from oracles import mc_random_baseline
@@ -168,6 +169,23 @@ class TestRunIfsOur:
         outcome = run_ifs_our(source, twin)
         self_outcome = run_ifs_our(twin, renamed_copy(source, "self", "f3"))
         assert np.array_equal(outcome.predicted, self_outcome.predicted)
+
+    @pytest.mark.parametrize(
+        "preprocessing", [PreprocessConfig(), PreprocessConfig(log_filter=True, normalize=False)]
+    )
+    def test_is_ifs_min_over_the_profiles(self, preprocessing):
+        rng = np.random.default_rng(47)
+        source = planted_project(rng, "s", "f1", 12, 90, signal=2.0)
+        target = planted_project(rng, "t", "f2", 5, 70, signal=2.0)
+        ours = run_ifs_our(source, target, preprocessing)
+        indicator_config = PreprocessConfig(log_filter=False, normalize=preprocessing.normalize)
+        minimal = run_ifs_min(
+            characterize_project(source, preprocessing),
+            characterize_project(target, preprocessing),
+            indicator_config,
+        )
+        assert ours.predicted.tobytes() == minimal.predicted.tobytes()
+        assert ours.probabilities.tobytes() == minimal.probabilities.tobytes()
 
     def test_beats_random_baseline_with_planted_signal(self):
         rng = np.random.default_rng(46)

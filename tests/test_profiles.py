@@ -180,7 +180,7 @@ class TestCharacterizeProject:
         profiled = characterize_project(project)
         assert profiled.name == "x"
         assert profiled.dataset_family == "f"
-        assert profiled.source_metric_count == 2
+        assert profiled.schema.feature_names == INDICATOR_NAMES
         assert np.array_equal(profiled.labels, project.labels)
 
     def test_single_instance_needs_normalize_off(self):
