@@ -40,7 +40,7 @@ from cpdp_ifs.predictors import (
     run_mix,
 )
 from cpdp_ifs.preprocess import PreprocessConfig
-from cpdp_ifs.stats import compare_paired, dpr, pearson
+from cpdp_ifs.stats import compare_paired, dpr, pearson, row_quantiles
 
 DPR_IMPROVEMENT_THRESHOLD = 0.64
 DPR_APPROPRIATE_MAX = 2.5
@@ -319,7 +319,7 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
             raise ValueError(f"empty group {group!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"group {group!r} contains non-finite values")
-        q1, median, q3 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
+        q1, median, q3 = (float(q) for q in row_quantiles(values, (0.25, 0.5, 0.75)))
         iqr = q3 - q1
         low_fence = q1 - 1.5 * iqr
         high_fence = q3 + 1.5 * iqr

@@ -113,8 +113,8 @@ def _objective_at(
 ) -> tuple[float, float]:
     """The penalized objective given the linear predictor ``eta = design @ w``."""
     # log(1 + e^eta) via logaddexp stays finite for large |eta|
-    log_lik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
-    penalty = 0.5 * ridge * float(np.sum((mask * w) ** 2))
+    log_lik = float(y @ eta - np.logaddexp(0.0, eta).sum())
+    penalty = 0.5 * ridge * float(((mask * w) ** 2).sum())
     return -log_lik + penalty, log_lik
 
 
@@ -187,7 +187,7 @@ def train(
         # ``eta`` is ``X1 @ w``: the accepted candidate's linear predictor.
         prob = _expit(eta)
         gradient = _gradient_at(prob, w, X1, y, ridges)
-        if float(np.max(np.abs(gradient))) < _GRADIENT_FLOOR:
+        if float(np.abs(gradient).max()) < _GRADIENT_FLOOR:
             converged = True
             break
         weight = prob * (1.0 - prob)
@@ -283,8 +283,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "meta": asdict(model.meta),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path) -> Model:

@@ -19,6 +19,7 @@ import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
+from cpdp_ifs.stats import row_median, row_quantiles
 
 INDICATOR_NAMES: tuple[str, ...] = (
     "min",
@@ -78,10 +79,12 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     maximum = v[:, -1]
     total = v.sum(axis=1)
     mean = total / n
-    median = np.median(v, axis=1)
+    median = row_median(v)
     mode, variation_ratio = _mode_and_variation_ratio(v)
-    q1 = np.quantile(v, 0.25, axis=1)
-    q3 = np.quantile(v, 0.75, axis=1)
+    # One partition per quartile, as np.quantile makes: a shared kth list
+    # could move a zero of the other sign to the quartile's index.
+    q1 = row_quantiles(v, (0.25,))[0]
+    q3 = row_quantiles(v, (0.75,))[0]
     # The mean of a constant row of large values misses it by rounding, and
     # that noise can exceed the absolute threshold, so equal ends count as
     # no spread at all.

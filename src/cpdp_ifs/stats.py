@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +40,51 @@ class ConfusionMatrix:
         predicted = np.asarray(predicted)
         if actual.shape != predicted.shape or actual.ndim != 1:
             raise ValueError("actual and predicted must be one-dimensional and equally long")
-        pos = actual == 1
-        pred_pos = predicted == 1
-        return cls(
-            tp=int(np.sum(pos & pred_pos)),
-            fp=int(np.sum(~pos & pred_pos)),
-            tn=int(np.sum(~pos & ~pred_pos)),
-            fn=int(np.sum(pos & ~pred_pos)),
-        )
+        for values in (actual, predicted):
+            if not np.all((values == 0) | (values == 1)):
+                raise ValueError("actual and predicted must hold only 0 and 1")
+        # Code 2*actual + predicted counts tn, fp, fn and tp in one pass.
+        codes = 2 * actual.astype(np.intp) + predicted.astype(np.intp)
+        tn, fp, fn, tp = (int(count) for count in np.bincount(codes, minlength=4))
+        return cls(tp=tp, fp=fp, tn=tn, fn=fn)
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+
+def row_quantiles(rows: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """``np.quantile(rows, quantiles, axis=-1)`` with numpy's default linear
+    rule, bit for bit, for finite values.
+
+    It makes numpy's own partition call, with the same kth list, and applies
+    numpy's interpolation; it leaves out the NaN check and the ``np.unique``
+    call that would import ``numpy.ma``. The result has one row per quantile.
+    """
+    n = rows.shape[-1]
+    points = []
+    for q in quantiles:
+        position = (n - 1) * q
+        # numpy clamps a position at or past the last value to index -1,
+        # and gamma stays position - lo, so it is then at least 1.
+        lo = -1 if position >= n - 1 else int(position)
+        points.append((lo, -1 if lo == -1 else lo + 1, position - lo))
+    kth = sorted({0, -1}.union(*((lo, hi) for lo, hi, _ in points)))
+    part = np.partition(rows, kth, axis=-1)
+    results = []
+    for lo, hi, gamma in points:
+        a, b = part[..., lo], part[..., hi]
+        # numpy's ``_lerp``: interpolate from the nearer end.
+        results.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return np.stack(results)
+
+
+def row_median(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=-1)`` bit for bit, for finite values: numpy's
+    own kth list and mean, without the NaN check that imports ``numpy.ma``."""
+    n = rows.shape[-1]
+    kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [(n - 1) // 2, -1]
+    return np.partition(rows, kth, axis=-1)[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1)
 
 
 def prf(confusion: ConfusionMatrix) -> tuple[float, float, float]:

@@ -402,6 +402,26 @@ class TestBox:
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG
 
+    def test_signed_zero_cells_print_as_before(self, tmp_path, capsys):
+        # Which zero lands at a quartile's index is up to the partition, and
+        # the sign shows in the output.
+        path = tmp_path / "zeros.csv"
+        path.write_text(
+            "group,value\na,-0\na,0\na,-0.0\na,0\nb,0\nb,-0\nb,1\nb,-0.0\nb,0.0\n"
+            "c,-0\nd,0\nd,-0\n",
+            encoding="utf-8",
+        )
+        argv = ["box", "--csv", str(path), "--group-col", "group", "--value-col", "value"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "group,n,minimum,first_quartile,median,third_quartile,maximum,lower_whisker,"
+            "upper_whisker,outliers\n"
+            "a,4,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,\n"
+            "b,5,0.000000,0.000000,0.000000,0.000000,1.000000,0.000000,0.000000,1.000000\n"
+            "c,1,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,\n"
+            "d,2,-0.000000,0.000000,0.000000,0.000000,-0.000000,-0.000000,-0.000000,\n"
+        )
+
 
 class TestUsage:
     def test_missing_subcommand_exits_1(self, capsys):
@@ -418,17 +438,32 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    # Run after a command: it exits 0 and loaded neither scipy nor numpy.ma.
+    UNLOADED_CHECK = (
+        "import sys, cpdp_ifs.cli\n"
+        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
+        "unwanted = ('scipy', 'numpy.ma')\n"
+        "loaded = [m for m in sys.modules if m in unwanted or m.startswith('scipy.')]\n"
+        "assert status == 0 and not loaded, (status, sorted(loaded))\n"
+    )
+
     def test_run_loads_no_scipy_module(self, corpus_dir, tmp_path):
-        code = (
-            "import sys, cpdp_ifs.cli\n"
-            "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-            "assert status == 0 and not loaded, (status, sorted(loaded))\n"
-        )
         argv = ["run", "--config", str(corpus_dir / "config.json"), "--out", str(tmp_path)]
-        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", self.UNLOADED_CHECK, *argv], capture_output=True, text=True
+        )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "manifest.json").exists()
+
+    def test_box_loads_no_numpy_ma(self, tmp_path):
+        path = tmp_path / "vals.csv"
+        path.write_text("method,f_measure\nx,0.5\nx,0.25\nx,1\ny,0\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", self.UNLOADED_CHECK, "box", "--csv", str(path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("group,n,minimum")
 
     def test_console_script_help(self):
         result = subprocess.run(

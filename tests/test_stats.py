@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdp_ifs.stats import (
     ComparisonResult,
@@ -15,6 +16,8 @@ from cpdp_ifs.stats import (
     dpr,
     pearson,
     prf,
+    row_median,
+    row_quantiles,
     wilcoxon_signed_rank,
     _midranks,
     _student_t_two_sided_p,
@@ -49,6 +52,88 @@ class TestConfusionMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix.from_predictions(np.array([1, 0]), np.array([1]))
+
+    def test_non_binary_actual_rejected(self):
+        # Counted before as fp=1, tn=1: a 2 is not a negative.
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            ConfusionMatrix.from_predictions(np.array([2, 0]), np.array([1, 0]))
+
+    def test_non_binary_predicted_rejected(self):
+        # Counted before as two negatives.
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            ConfusionMatrix.from_predictions(np.array([1, 0]), np.array([-1, 0.5]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            ConfusionMatrix.from_predictions(np.array([1.0, np.nan]), np.array([1, 0]))
+
+    def test_bool_and_float_arrays_accepted(self):
+        actual = np.array([True, True, False, False, True, False])
+        predicted = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        cm = ConfusionMatrix.from_predictions(actual, predicted)
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 2, 1)
+
+    def test_empty_counts_nothing(self):
+        cm = ConfusionMatrix.from_predictions(np.array([], dtype=np.int8), np.array([]))
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, 0, 0)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40))
+    def test_counts_match_masks(self, pairs):
+        actual = np.array([a for a, _ in pairs], dtype=np.int8)
+        predicted = np.array([p for _, p in pairs], dtype=np.int8)
+        cm = ConfusionMatrix.from_predictions(actual, predicted)
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (
+            pairs.count((1, 1)), pairs.count((0, 1)), pairs.count((0, 0)), pairs.count((1, 0))
+        )
+
+
+# Finite values with signed zeros, ties, subnormals and extremes, where a
+# different kth list or interpolation order would show in the bits.
+ORDER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRowOrderStatistics:
+    """The helpers are numpy's quantile and median, bit for bit."""
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 4), st.integers(1, 70)),
+            elements=ORDER_VALUES,
+        ),
+        st.booleans(),
+    )
+    def test_matrices_match_numpy(self, rows, presorted):
+        if presorted:
+            rows = np.sort(rows, axis=1)
+        with np.errstate(all="ignore"):
+            for q in (0.25, 0.75):
+                want = np.quantile(rows, q, axis=1)
+                assert row_quantiles(rows, (q,))[0].tobytes() == want.tobytes()
+            assert row_median(rows).tobytes() == np.median(rows, axis=1).tobytes()
+
+    @given(arrays(float, st.integers(1, 70), elements=ORDER_VALUES))
+    def test_boxplot_quartiles_match_numpy(self, row):
+        with np.errstate(all="ignore"):
+            got = row_quantiles(row, (0.25, 0.5, 0.75))
+            want = np.quantile(row, (0.25, 0.5, 0.75))
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_value(self):
+        # n = 1 clamps every position to the last value, with gamma 1.
+        row = np.array([-0.0])
+        assert row_quantiles(row, (0.25, 0.5, 0.75)).tobytes() == np.full(3, -0.0).tobytes()
+        # The median is a mean, whose sum starts from +0.0, as in np.median.
+        assert row_median(row[None, :]).tobytes() == np.median(row[None, :], axis=1).tobytes()
+        assert row_median(row[None, :]).tobytes() == np.array([0.0]).tobytes()
+
+    def test_linear_rule(self):
+        rows = np.array([[4.0, 1.0, 3.0, 2.0]])
+        assert row_quantiles(rows, (0.25, 0.5, 0.75))[:, 0].tolist() == [1.75, 2.5, 3.25]
+        assert row_median(rows).tolist() == [2.5]
 
 
 class TestPrf:
