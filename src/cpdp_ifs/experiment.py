@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import hashlib
 import itertools
 import json
 import re
@@ -23,6 +22,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import TextIO
+
+# CPython's built-in SHA-256 gives the same digest as hashlib's, whose
+# OpenSSL backend costs 3.6 MB resident for one digest per run.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # interpreters built without built-in hashes
 
 import numpy as np
 
@@ -126,7 +135,7 @@ class ExperimentConfig:
 
 def config_hash(config: ExperimentConfig) -> str:
     canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 _JSON_TYPES = {

@@ -113,6 +113,8 @@ def cliffs_delta(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("cliffs_delta requires non-empty samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("cliffs_delta samples must be finite")
     diff = x[:, None] - y[None, :]
     greater = int(np.sum(diff > 0))
     less = int(np.sum(diff < 0))
@@ -325,6 +327,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = x.size
     if n < 3:
         raise ValueError("pearson requires at least 3 pairs")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pearson samples must be finite")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.sum(dx * dx))

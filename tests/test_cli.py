@@ -438,11 +438,12 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
-    # Run after a command: it exits 0 and loaded neither scipy nor numpy.ma.
+    # Run after a command: it exits 0 and loaded neither scipy, numpy.ma nor
+    # hashlib's OpenSSL backend.
     UNLOADED_CHECK = (
         "import sys, cpdp_ifs.cli\n"
         "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
-        "unwanted = ('scipy', 'numpy.ma')\n"
+        "unwanted = ('scipy', 'numpy.ma', 'hashlib', '_hashlib')\n"
         "loaded = [m for m in sys.modules if m in unwanted or m.startswith('scipy.')]\n"
         "assert status == 0 and not loaded, (status, sorted(loaded))\n"
     )
@@ -454,6 +455,14 @@ class TestUsage:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "manifest.json").exists()
+
+    def test_ingest_loads_no_openssl(self, corpus_dir):
+        argv = ["ingest", "--config", str(corpus_dir / "config.json")]
+        result = subprocess.run(
+            [sys.executable, "-c", self.UNLOADED_CHECK, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
 
     def test_box_loads_no_numpy_ma(self, tmp_path):
         path = tmp_path / "vals.csv"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cpdp_ifs.experiment import (
     DPR_APPROPRIATE_MAX,
@@ -164,6 +166,41 @@ class TestParseConfig:
             parse_config(payload)
 
 
+_NAMES = st.text(st.characters(min_codepoint=0x41, max_codepoint=0x24F), min_size=1, max_size=6)
+_METRICS = ("loc", "cbo", "wmc", "rfc", "lcom")
+
+
+@st.composite
+def config_payloads(draw):
+    """Valid config payloads: non-ASCII names, alias maps, any method set."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    datasets = []
+    for name in names:
+        features = draw(st.lists(st.sampled_from(_METRICS), max_size=3, unique=True))
+        aliases = draw(st.dictionaries(
+            st.text(st.characters(min_codepoint=0xC0, max_codepoint=0x24F), min_size=1, max_size=5),
+            st.sampled_from(_METRICS), max_size=2,
+        ))
+        datasets.append({
+            "name": name, "path": f"{name}.csv", "family": draw(_NAMES),
+            "feature_names": features, "alias_map": aliases,
+        })
+    methods = draw(st.lists(st.sampled_from([m.value for m in Method]), min_size=1, unique=True))
+    if "mix" in methods:
+        methods += [m for m in ("cpdp_pure", "ifs_our") if m not in methods]
+    learner = {
+        "ridge": draw(st.floats(0.0, 1e6)),
+        "max_iterations": draw(st.integers(1, 1000)),
+        "tolerance": draw(st.floats(1e-12, 1.0)),
+        "decision_threshold": draw(st.floats(0.01, 0.99)),
+    }
+    return {
+        "datasets": datasets, "methods": methods, "learner": learner,
+        "preprocessing": {"log_filter": draw(st.booleans()), "normalize": draw(st.booleans())},
+        "workers": draw(st.integers(1, 8)),
+    }
+
+
 class TestConfigHash:
     def test_stable_across_instances(self):
         a = parse_config(minimal_payload())
@@ -180,26 +217,48 @@ class TestConfigHash:
         b = parse_config(minimal_payload(learner={"ridge": 0.5}))
         assert config_hash(a) != config_hash(b)
 
+    # Recorded with the hand-written config parser, before the reader was
+    # derived from the config dataclasses.
+    PINNED_PAYLOAD = {
+        "datasets": [
+            {"name": "a", "path": "a.csv", "family": "f", "label_column": "defects",
+             "feature_names": ["loc", "cbo"],
+             "alias_map": {"lines": "loc", "coupling": "cbo"}},
+            {"name": "b", "path": "b.arff", "family": "g", "format": "arff"},
+        ],
+        "methods": ["cpdp_pure", "ifs_our", "mix"],
+        "preprocessing": {"log_filter": True, "normalize": False},
+        "learner": {"ridge": 2, "max_iterations": 50, "tolerance": 1e-6,
+                    "decision_threshold": 0.4},
+        "output_dir": "out",
+        "workers": 3,
+    }
+    PINNED_DIGEST = "a9014c118d294829e25b3724af92b529d9844d92370473a21ef8bab8ec7e4181"
+
     def test_pinned_payload_digest(self):
-        # Recorded with the hand-written config parser, before the reader was
-        # derived from the config dataclasses.
-        payload = {
-            "datasets": [
-                {"name": "a", "path": "a.csv", "family": "f", "label_column": "defects",
-                 "feature_names": ["loc", "cbo"],
-                 "alias_map": {"lines": "loc", "coupling": "cbo"}},
-                {"name": "b", "path": "b.arff", "family": "g", "format": "arff"},
-            ],
-            "methods": ["cpdp_pure", "ifs_our", "mix"],
-            "preprocessing": {"log_filter": True, "normalize": False},
-            "learner": {"ridge": 2, "max_iterations": 50, "tolerance": 1e-6,
-                        "decision_threshold": 0.4},
-            "output_dir": "out",
-            "workers": 3,
-        }
-        assert config_hash(parse_config(payload)) == (
-            "a9014c118d294829e25b3724af92b529d9844d92370473a21ef8bab8ec7e4181"
+        assert config_hash(parse_config(self.PINNED_PAYLOAD)) == self.PINNED_DIGEST
+
+    @given(payload=config_payloads())
+    def test_is_sha256_of_canonical_json(self, payload):
+        config = parse_config(payload)
+        canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert config_hash(config) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_hashlib_fallback_gives_pinned_digest(self):
+        # Without the built-in SHA-256 modules the import falls back to hashlib.
+        code = (
+            "import hashlib, json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from cpdp_ifs import experiment\n"
+            "assert experiment.sha256 is hashlib.sha256\n"
+            "print(experiment.config_hash(experiment.parse_config(json.loads(sys.argv[1]))))\n"
         )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(self.PINNED_PAYLOAD)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == self.PINNED_DIGEST
 
     def test_sensitive_to_dataset_order(self):
         payload = minimal_payload()

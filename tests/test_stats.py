@@ -196,6 +196,13 @@ class TestCliffsDelta:
         with pytest.raises(ValueError):
             cliffs_delta([], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cliffs_delta([bad], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            cliffs_delta([1.0, 2.0], [0.5, bad])
+
     @given(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=15),
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=15),
@@ -392,6 +399,13 @@ class TestPearson:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             pearson(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pearson(np.array([bad, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="finite"):
+            pearson(np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 3.0]))
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(17)
