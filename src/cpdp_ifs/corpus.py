@@ -130,6 +130,8 @@ class Project:
 
 @dataclass(frozen=True)
 class DatasetSummary:
+    """Instance, defect and metric counts of one project, as ``summarize`` gives them."""
+
     instance_count: int
     defect_count: int
     defect_ratio: float

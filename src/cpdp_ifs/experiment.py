@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import itertools
 import json
 import re
 import sys
 import typing
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import TextIO
@@ -71,6 +71,8 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """One ``datasets`` entry of the config: where a project is and how to read it."""
+
     name: str
     path: str
     family: str = "default"
@@ -174,6 +176,11 @@ def _json_value(value: object, hint: object, key: str) -> object:
     raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {shown}")
 
 
+@functools.cache
+def _type_hints(cls: type) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
 def _read_object(cls: type, raw: object, where: str, **given: object):
     """The config dataclass ``cls`` read from the JSON object ``raw``.
 
@@ -191,7 +198,7 @@ def _read_object(cls: type, raw: object, where: str, **given: object):
         raise ConfigError(
             f"{label} has unknown keys: {sorted(unknown)}; {label} accepts only {accepted}"
         )
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = dict(given)
     for f in keys:
         if f.name in raw:
@@ -245,6 +252,8 @@ def load_projects(config: ExperimentConfig) -> tuple[Project, ...]:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One ``results.csv`` row: an executed pair's confusion counts and scores."""
+
     method: Method
     source: str
     target: str
@@ -259,6 +268,8 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class BestRow:
+    """One ``best_per_target.csv`` row: the best source of a method for a target."""
+
     method: Method
     target: str
     source: str
@@ -269,6 +280,8 @@ class BestRow:
 
 @dataclass(frozen=True)
 class FailureRecord:
+    """One ``failures.csv`` row: a pair that could not run, with the reason."""
+
     method: Method
     source_name: str = field(metadata={"csv": "source"})
     target_name: str = field(metadata={"csv": "target"})
@@ -277,6 +290,8 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One ``comparisons.csv`` row: a signed-rank test of two methods' best scores."""
+
     method_a: Method
     method_b: Method
     n_targets: int
@@ -288,6 +303,8 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class DprRow:
+    """One ``dpr_analysis.csv`` row: a target's DPR, fused gain and DPR-to-f correlation."""
+
     target: str
     pure_source: str
     dpr_value: float | None = field(metadata={"csv": "dpr"})
@@ -303,6 +320,8 @@ class DprRow:
 
 @dataclass(frozen=True)
 class BoxplotSummary:
+    """One ``boxplot_summary.csv`` row: a group's five numbers, whiskers and outliers."""
+
     group: str
     n: int
     minimum: float
@@ -368,6 +387,8 @@ def best_per_target(
 
 @dataclass(frozen=True)
 class ReportBundle:
+    """Everything a run reports, ready for ``write_report``."""
+
     config: ExperimentConfig
     config_digest: str
     summaries: Mapping[str, DatasetSummary]
@@ -409,6 +430,9 @@ def _execute_pairs(
             params=config.learner,
             memo=memo,
         )
+
+    # Imported here so that no other command loads concurrent.futures and logging.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         futures = [(plan, pool.submit(run_one, plan)) for plan in plans]
@@ -656,14 +680,20 @@ def write_report(bundle: ReportBundle, out_dir: Path) -> None:
 
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
+    written = set()
     for outcome in bundle.best:
         if outcome.model is None:
             continue
-        stem = "__".join(
+        name = "__".join(
             _SAFE_NAME.sub("_", part)
             for part in (outcome.method.value, outcome.source_name, outcome.target_name)
-        )
-        save_model(outcome.model, models_dir / f"{stem}.json")
+        ) + ".json"
+        written.add(name)
+        save_model(outcome.model, models_dir / name)
+    # A model file left by an earlier run into the same directory is stale.
+    for path in models_dir.glob("*.json"):
+        if path.name not in written:
+            path.unlink()
 
     manifest = {
         "config": bundle.config.to_dict(),

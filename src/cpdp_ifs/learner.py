@@ -27,6 +27,8 @@ class DegenerateTrainingError(ValueError):
 
 @dataclass(frozen=True)
 class LearnerParams:
+    """Ridge, stopping rule and decision threshold of the logistic learner."""
+
     ridge: float = 1e-8
     max_iterations: int = 200
     tolerance: float = 1e-8
@@ -45,6 +47,8 @@ class LearnerParams:
 
 @dataclass(frozen=True)
 class TrainingMeta:
+    """How a fit ended: Newton steps taken, final log-likelihood, convergence."""
+
     iterations: int
     final_log_likelihood: float
     converged: bool

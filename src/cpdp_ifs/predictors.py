@@ -237,6 +237,8 @@ def run_mix(
 
 @dataclass(frozen=True)
 class PairPlan:
+    """One source/target pair that a method will run."""
+
     source_name: str
     target_name: str
     method: Method

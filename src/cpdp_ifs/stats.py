@@ -24,6 +24,8 @@ _FRACTION_TINY = 1e-300
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """Counts of true and false positives and negatives of one prediction."""
+
     tp: int
     fp: int
     tn: int
@@ -168,6 +170,8 @@ def _exact_two_sided_p(doubled_ranks: list[int], doubled_statistic: int) -> floa
 
 @dataclass(frozen=True)
 class WilcoxonResult:
+    """A signed-rank test's W+, two-sided p-value, pair count and branch."""
+
     statistic: float
     p_value: float
     n_effective: int

@@ -306,6 +306,39 @@ class TestCompare:
         path.write_text("a,b\n0.5,oops\n0.6,0.3\n", encoding="utf-8")
         assert main(["compare", "--csv", str(path)]) == EXIT_DATA
 
+    def test_repeated_column_name_exits_2(self, tmp_path, capsys):
+        # csv.DictReader would read the last of the repeated columns.
+        path = tmp_path / "scores.csv"
+        path.write_text("a,b,b\n0.5,0.4,0.1\n0.6,0.3,0.2\n0.7,0.6,0.3\n", encoding="utf-8")
+        assert main(["compare", "--csv", str(path), "--x-col", "a", "--y-col", "b"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: duplicate column names ['b']" in err
+
+    def test_results_repeated_column_name_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "best_per_target.csv"
+        path.write_text(
+            "method,target,source,f_measure,f_measure\n"
+            "cpdp_pure,t,s,0.5,0.1\nifs_our,t,s,0.4,0.2\n",
+            encoding="utf-8",
+        )
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: duplicate column names ['f_measure']" in err
+
+    def test_results_extra_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "best_per_target.csv"
+        path.write_text(
+            "method,target,source,f_measure\ncpdp_pure,t,s,0.5\nifs_our,t,s,0.4,0.9\n",
+            encoding="utf-8",
+        )
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: data row 2 has 5 cells, expected 4" in err
+
 
 class TestDpr:
     def test_reports_value_and_flag(self, corpus_dir, capsys):
@@ -402,6 +435,14 @@ class TestBox:
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG
 
+    def test_extra_cell_exits_2(self, tmp_path, capsys):
+        # csv.DictReader would drop the cells beyond the header.
+        path = tmp_path / "vals.csv"
+        path.write_text("method,f_measure\nx,0.5\nx,0.5,0.9\n", encoding="utf-8")
+        assert main(["box", "--csv", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: data row 2 has 3 cells, expected 2" in err
+
     def test_signed_zero_cells_print_as_before(self, tmp_path, capsys):
         # Which zero lands at a quartile's index is up to the partition, and
         # the sign shows in the output.
@@ -473,6 +514,50 @@ class TestUsage:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("group,n,minimum")
+
+    # Run after any command but run: it exits 0 and loaded no thread pool,
+    # so neither concurrent.futures nor the logging it imports.
+    NO_POOL_CHECK = (
+        "import sys, cpdp_ifs.cli\n"
+        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
+        "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+        "assert status == 0 and not loaded, (status, loaded)\n"
+    )
+
+    @pytest.mark.parametrize("command", ["ingest", "dpr", "compare", "box"])
+    def test_only_run_loads_the_thread_pool(self, corpus_dir, tmp_path, command):
+        config = ["--config", str(corpus_dir / "config.json")]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("method,f_measure\nx,0.5\nx,0.25\ny,0.75\n", encoding="utf-8")
+        argv = {
+            "ingest": ["ingest", *config],
+            "dpr": ["dpr", *config, "--source", "fam_a_p0", "--target", "fam_b_p1"],
+            "compare": ["compare", "--csv", str(corpus_dir / "fam_a_p0.csv"),
+                        "--x-col", "loc", "--y-col", "cbo"],
+            "box": ["box", "--csv", str(scores)],
+        }[command]
+        result = subprocess.run(
+            [sys.executable, "-c", self.NO_POOL_CHECK, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+
+    def test_every_dataclass_has_its_own_docstring(self):
+        # Without one, dataclass builds a docstring from inspect.signature at import.
+        import importlib
+        import pkgutil
+
+        import cpdp_ifs
+
+        found = []
+        for info in pkgutil.iter_modules(cpdp_ifs.__path__):
+            module = importlib.import_module(f"cpdp_ifs.{info.name}")
+            for name, obj in vars(module).items():
+                if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                        and obj.__module__ == module.__name__):
+                    found.append(name)
+                    assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
+        assert len(found) == 23
 
     def test_console_script_help(self):
         result = subprocess.run(

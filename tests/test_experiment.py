@@ -28,6 +28,7 @@ from cpdp_ifs.experiment import (
     run_plan,
 )
 from cpdp_ifs import predictors
+from cpdp_ifs.cli import main as cli_main
 from cpdp_ifs.corpus import Project, intersect_features, summarize
 from cpdp_ifs.predictors import (
     Method,
@@ -42,7 +43,7 @@ from cpdp_ifs.stats import ConfusionMatrix
 
 from checks import report_digest
 from oracles import reference_best_sources
-from synth import corpus_projects, planted_project, write_corpus
+from synth import corpus_projects, planted_project, write_corpus, write_project_csv
 
 
 def minimal_payload(**overrides):
@@ -681,6 +682,21 @@ class TestWriteReport:
         # mix rows carry no model
         assert not any(name.startswith("mix") for name in model_files)
 
+    def test_rerun_into_same_directory_drops_stale_models(self, corpus_bundle, tmp_path):
+        _, _, bundle = corpus_bundle
+        out = tmp_path / "report"
+        bundle.write(out)
+        (out / "models" / "notes.txt").write_text("kept", encoding="utf-8")
+        pure = dataclasses.replace(
+            bundle, best=tuple(o for o in bundle.best if o.method is Method.CPDP_PURE)
+        )
+        pure.write(out)
+        pure.write(tmp_path / "fresh")
+        assert sorted(p.name for p in (out / "models").iterdir()) == sorted(
+            [p.name for p in (tmp_path / "fresh" / "models").iterdir()] + ["notes.txt"]
+        )
+        assert len(list((out / "models").glob("*.json"))) == 8
+
     def test_manifest_has_hash_and_no_timestamps(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle
         out = tmp_path / "report"
@@ -811,3 +827,48 @@ class TestEmitBoxplotSummary:
     def test_group_order_preserved(self):
         summaries = emit_boxplot_summary({"b": [1.0], "a": [2.0]})
         assert [s.group for s in summaries] == ["b", "a"]
+
+
+class TestCliChild:
+    """A ``cpdp-ifs`` child process, which ends through ``entrypoint``, writes
+    and prints what an in-process ``main`` does."""
+
+    @staticmethod
+    def child(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "cpdp_ifs.cli", *args], capture_output=True, text=True
+        )
+
+    def test_run_child_writes_golden_report(self, corpus_bundle, tmp_path):
+        corpus, _, bundle = corpus_bundle
+        result = self.child("run", "--config", str(corpus / "config.json"),
+                            "--out", str(tmp_path / "report"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            f"report written to {tmp_path / 'report'}\n"
+            f"pairs completed: {len(bundle.outcomes)}, failed: 0\n"
+        )
+        assert report_digest(tmp_path / "report") == GOLDEN_REPORT_DIGEST
+
+    def test_ingest_child_prints_what_main_prints(self, corpus_bundle, capsys):
+        corpus, _, _ = corpus_bundle
+        argv = ["ingest", "--config", str(corpus / "config.json")]
+        assert cli_main(argv) == 0
+        result = self.child(*argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == capsys.readouterr().out
+
+    def test_degenerate_run_child_exits_3_with_one_line_per_failure(self, tmp_path):
+        specs = []
+        for project in degenerate_projects():
+            write_project_csv(tmp_path / f"{project.name}.csv", project)
+            specs.append({"name": project.name, "path": f"{project.name}.csv",
+                          "family": project.dataset_family})
+        (tmp_path / "config.json").write_text(json.dumps({"datasets": specs}), encoding="utf-8")
+        result = self.child("run", "--config", str(tmp_path / "config.json"),
+                            "--out", str(tmp_path / "report"))
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            f"failed: {method} {source}->{target}: {error}"
+            for method, source, target, error in DEGENERATE_FAILURES
+        ]
