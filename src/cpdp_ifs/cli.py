@@ -89,15 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_csv_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
     """Header and data rows of a CSV table; a repeated column name or a
     data row with more cells than the header is a data error."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"empty file: {path}")
-        header = list(reader.fieldnames)
-        repeated = sorted({name for name in header if header.count(name) > 1})
-        if repeated:
-            raise DataFormatError(f"{path}: duplicate column names {repeated}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            fieldnames = reader.fieldnames
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if fieldnames is None:
+        raise DataFormatError(f"empty file: {path}")
+    header = list(fieldnames)
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataFormatError(f"{path}: duplicate column names {repeated}")
     if not rows:
         raise DataFormatError(f"empty file (header only): {path}")
     for i, row in enumerate(rows, start=1):

@@ -221,7 +221,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         payload = json.loads(text)
@@ -390,7 +390,6 @@ class ReportBundle:
     """Everything a run reports, ready for ``write_report``."""
 
     config: ExperimentConfig
-    config_digest: str
     summaries: Mapping[str, DatasetSummary]
     outcomes: tuple[PredictionOutcome, ...]
     failures: tuple[FailureRecord, ...]
@@ -567,6 +566,14 @@ def analyze_dpr(
     return tuple(rows)
 
 
+_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
+
+
+def _model_file_stem(*parts: str) -> str:
+    """A ``models/`` file name without its suffix: each part made safe, joined with ``__``."""
+    return "__".join(_SAFE_NAME.sub("_", part) for part in parts)
+
+
 def run_plan(
     config: ExperimentConfig, projects: Sequence[Project] | None = None
 ) -> ReportBundle:
@@ -575,6 +582,15 @@ def run_plan(
     by_name = {p.name: p for p in loaded}
     if len(by_name) != len(loaded):
         raise ConfigError("project names must be unique")
+    # Each best model is saved under its method, source and target names.
+    stems: dict[str, tuple[str, str]] = {}
+    for pair in itertools.permutations(by_name, 2):
+        first = stems.setdefault(_model_file_stem(*pair), pair)
+        if first != pair:
+            raise ConfigError(
+                f"pairs {first[0]!r}->{first[1]!r} and {pair[0]!r}->{pair[1]!r} "
+                "would save their models to the same file"
+            )
     summaries = {name: summarize(project) for name, project in by_name.items()}
 
     outcomes, failures, planned_counts = _execute_pairs(config, by_name)
@@ -603,7 +619,6 @@ def run_plan(
 
     return ReportBundle(
         config=config,
-        config_digest=config_hash(config),
         summaries=summaries,
         outcomes=tuple(
             sorted(outcomes, key=lambda o: (o.method.value, o.target_name, o.source_name))
@@ -646,9 +661,6 @@ def write_table(handle: TextIO, row_type: type, rows: Iterable[object]) -> None:
         writer.writerow([_fmt(getattr(row, f.name)) for f in columns])
 
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
-
-
 def write_report(bundle: ReportBundle, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
@@ -684,20 +696,17 @@ def write_report(bundle: ReportBundle, out_dir: Path) -> None:
     for outcome in bundle.best:
         if outcome.model is None:
             continue
-        name = "__".join(
-            _SAFE_NAME.sub("_", part)
-            for part in (outcome.method.value, outcome.source_name, outcome.target_name)
-        ) + ".json"
-        written.add(name)
-        save_model(outcome.model, models_dir / name)
+        stem = _model_file_stem(outcome.method.value, outcome.source_name, outcome.target_name)
+        written.add(stem)
+        save_model(outcome.model, models_dir / f"{stem}.json")
     # A model file left by an earlier run into the same directory is stale.
     for path in models_dir.glob("*.json"):
-        if path.name not in written:
+        if path.stem not in written:
             path.unlink()
 
     manifest = {
         "config": bundle.config.to_dict(),
-        "config_hash": bundle.config_digest,
+        "config_hash": config_hash(bundle.config),
         "version": __version__,
         "projects": {
             name: {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -34,18 +34,17 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PredictionOutcome:
-    """One source-to-target run: predictions plus their evaluation."""
+    """One source-to-target run: predictions, their confusion counts and the scores of those."""
 
     source_name: str
     target_name: str
     method: Method
     predicted: np.ndarray
-    probabilities: np.ndarray | None
     confusion: ConfusionMatrix
-    precision: float
-    recall: float
-    f_measure: float
     model: Model | None = None
+    precision: float = field(init=False)
+    recall: float = field(init=False)
+    f_measure: float = field(init=False)
 
     def __post_init__(self) -> None:
         predicted = np.asarray(self.predicted, dtype=np.int8)
@@ -53,12 +52,8 @@ class PredictionOutcome:
             raise ValueError("predictions must be binary")
         predicted.setflags(write=False)
         object.__setattr__(self, "predicted", predicted)
-        if self.probabilities is not None:
-            probabilities = np.asarray(self.probabilities, dtype=float)
-            if probabilities.shape != predicted.shape:
-                raise ValueError("probabilities must align with predictions")
-            probabilities.setflags(write=False)
-            object.__setattr__(self, "probabilities", probabilities)
+        for name, score in zip(("precision", "recall", "f_measure"), prf(self.confusion)):
+            object.__setattr__(self, name, score)
 
 
 class RunMemo:
@@ -116,20 +111,13 @@ def _train_and_classify(
             [source.schema.feature_names[i] for i in source_cols], params,
         ),
     )
-    probabilities = predict_proba(model, target_ready)
-    predicted = apply_threshold(probabilities, model.params.decision_threshold)
-    confusion = ConfusionMatrix.from_predictions(target.labels, predicted)
-    precision, recall, f_measure = prf(confusion)
+    predicted = apply_threshold(predict_proba(model, target_ready), model.params.decision_threshold)
     return PredictionOutcome(
         source_name=source.name,
         target_name=target.name,
         method=method,
         predicted=predicted,
-        probabilities=probabilities,
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f_measure=f_measure,
+        confusion=ConfusionMatrix.from_predictions(target.labels, predicted),
         model=model,
     )
 
@@ -204,7 +192,7 @@ def run_mix(
     """Fuse a pure and a profile run: defective when either says defective.
 
     The two runs may come from different sources but must score the same
-    target. Probabilities are not defined for the fused prediction.
+    target.
     """
     if pure_outcome.method is not Method.CPDP_PURE:
         raise ValueError("first argument must be a cpdp_pure outcome")
@@ -219,19 +207,12 @@ def run_mix(
         raise ValueError("target labels must align with the predictions")
 
     fused = np.maximum(pure_outcome.predicted, profile_outcome.predicted)
-    confusion = ConfusionMatrix.from_predictions(labels, fused)
-    precision, recall, f_measure = prf(confusion)
     return PredictionOutcome(
         source_name=f"{pure_outcome.source_name}+{profile_outcome.source_name}",
         target_name=pure_outcome.target_name,
         method=Method.MIX,
         predicted=fused,
-        probabilities=None,
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f_measure=f_measure,
-        model=None,
+        confusion=ConfusionMatrix.from_predictions(labels, fused),
     )
 
 

@@ -111,7 +111,6 @@ class CharacteristicVector:
     """The 16 distribution indicators of one instance, in canonical order."""
 
     values: np.ndarray
-    names: tuple[str, ...] = INDICATOR_NAMES
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -121,10 +120,10 @@ class CharacteristicVector:
         object.__setattr__(self, "values", values)
 
     def as_dict(self) -> dict[str, float]:
-        return {name: float(value) for name, value in zip(self.names, self.values)}
+        return {name: float(value) for name, value in zip(INDICATOR_NAMES, self.values)}
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
+        return float(self.values[INDICATOR_NAMES.index(name)])
 
 
 def characterize_instance(values: np.ndarray) -> CharacteristicVector:

@@ -18,6 +18,8 @@ from cpdp_ifs.learner import (
     LearnerParams,
     _penalized_gradient,
     _penalized_objective,
+    apply_threshold,
+    predict_proba,
     train,
 )
 from cpdp_ifs.predictors import (
@@ -29,13 +31,12 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.preprocess import zscore
-from cpdp_ifs.profiles import characterize_instance
+from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix, zscore
+from cpdp_ifs.profiles import characterize_instance, characterize_project
 from cpdp_ifs.stats import (
     ConfusionMatrix,
     cliffs_delta,
     dpr,
-    prf,
     wilcoxon_signed_rank,
 )
 
@@ -180,18 +181,15 @@ def test_criterion_5c_intersection_equals_pure_on_same_schema():
             pure = run_cpdp_pure(source, target)
             narrowed = run_ifs_min(source, target)
             assert np.array_equal(pure.predicted, narrowed.predicted)
-            assert np.array_equal(pure.probabilities, narrowed.probabilities)
-            assert np.array_equal(pure.model.weights, narrowed.model.weights)
+            assert pure.model.weights.tobytes() == narrowed.model.weights.tobytes()
             assert pure.model.intercept == narrowed.model.intercept
 
 
 def _outcome(method: Method, predicted: np.ndarray, actual: np.ndarray) -> PredictionOutcome:
-    confusion = ConfusionMatrix.from_predictions(actual, predicted.astype(np.int8))
-    precision, recall, f_measure = prf(confusion)
+    predicted = predicted.astype(np.int8)
     return PredictionOutcome(
-        source_name="s", target_name="t", method=method,
-        predicted=predicted.astype(np.int8), probabilities=None, confusion=confusion,
-        precision=precision, recall=recall, f_measure=f_measure,
+        source_name="s", target_name="t", method=method, predicted=predicted,
+        confusion=ConfusionMatrix.from_predictions(actual, predicted),
     )
 
 
@@ -307,7 +305,15 @@ def test_criterion_7_end_to_end_smoke():
         assert outcome.method is Method.IFS_OUR
         assert outcome.predicted.shape == (target.n_instances,)
         assert np.all((outcome.predicted == 0) | (outcome.predicted == 1))
-        assert np.all((outcome.probabilities > 0) & (outcome.probabilities < 1))
+        profiled_target = preprocess_matrix(
+            characterize_project(target).matrix, PreprocessConfig(log_filter=False)
+        )[0]
+        probabilities = predict_proba(outcome.model, profiled_target)
+        assert np.all((probabilities > 0) & (probabilities < 1))
+        assert np.array_equal(
+            apply_threshold(probabilities, outcome.model.params.decision_threshold),
+            outcome.predicted,
+        )
         assert outcome.confusion.total == target.n_instances
         assert 0.0 <= outcome.f_measure <= 1.0
 

@@ -47,6 +47,13 @@ class TestIngest:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"datasets": [{"name": "caf\xe9", "path": "a.csv"}]}')
+        assert main(["ingest", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec")
+
     def test_colliding_feature_names_exit_1(self, tmp_path, capsys):
         config = {"datasets": [{"name": "a", "path": "a.csv", "feature_names": ["loc", "LOC"]}]}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
@@ -339,6 +346,20 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"data error: {path}: data row 2 has 5 cells, expected 4" in err
 
+    def test_csv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"a,b\n0.5,0.4\n0.6,0.3\n0.7,0.2\n# caf\xe9\n")
+        assert main(["compare", "--csv", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: 'utf-8' codec")
+
+    def test_results_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "best_per_target.csv"
+        path.write_bytes(b"method,target,source,f_measure\ncpdp_pure,caf\xe9,s,0.5\n")
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: 'utf-8' codec")
+
 
 class TestDpr:
     def test_reports_value_and_flag(self, corpus_dir, capsys):
@@ -442,6 +463,12 @@ class TestBox:
         assert main(["box", "--csv", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {path}: data row 2 has 3 cells, expected 2" in err
+
+    def test_csv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "vals.csv"
+        path.write_bytes(b"method,f_measure\ncaf\xe9,0.5\n")
+        assert main(["box", "--csv", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: 'utf-8' codec")
 
     def test_signed_zero_cells_print_as_before(self, tmp_path, capsys):
         # Which zero lands at a quartile's index is up to the partition, and

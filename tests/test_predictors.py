@@ -34,12 +34,9 @@ def project_of(name, family, names, matrix, labels):
 
 def outcome_of(method, predicted, actual, source="s", target="t"):
     predicted = np.asarray(predicted, dtype=np.int8)
-    confusion = ConfusionMatrix.from_predictions(np.asarray(actual), predicted)
-    precision, recall, f_measure = prf(confusion)
     return PredictionOutcome(
         source_name=source, target_name=target, method=method, predicted=predicted,
-        probabilities=None, confusion=confusion, precision=precision, recall=recall,
-        f_measure=f_measure,
+        confusion=ConfusionMatrix.from_predictions(np.asarray(actual), predicted),
     )
 
 
@@ -60,7 +57,6 @@ class TestRunCpdpPure:
         assert outcome.source_name == "src"
         assert outcome.target_name == "tgt"
         assert outcome.predicted.shape == (target.n_instances,)
-        assert outcome.probabilities.shape == (target.n_instances,)
         assert outcome.confusion.total == target.n_instances
         assert 0.0 <= outcome.f_measure <= 1.0
 
@@ -79,7 +75,8 @@ class TestRunCpdpPure:
         base = run_cpdp_pure(source, target)
         moved = run_cpdp_pure(source, shuffled)
         assert np.array_equal(base.predicted, moved.predicted)
-        assert np.array_equal(base.probabilities, moved.probabilities)
+        assert base.model.weights.tobytes() == moved.model.weights.tobytes()
+        assert base.model.intercept == moved.model.intercept
 
     def test_schema_mismatch_rejected(self):
         a = project_of("a", "f1", ["x", "y"], [[1, 2], [3, 4], [5, 6]], [0, 1, 0])
@@ -119,10 +116,9 @@ class TestRunIfsMin:
         narrowed = run_ifs_min(source, target)
         assert narrowed.method is Method.IFS_MIN
         assert np.array_equal(pure.predicted, narrowed.predicted)
-        assert np.array_equal(pure.probabilities, narrowed.probabilities)
         assert pure.confusion == narrowed.confusion
         assert pure.f_measure == narrowed.f_measure
-        assert np.array_equal(pure.model.weights, narrowed.model.weights)
+        assert pure.model.weights.tobytes() == narrowed.model.weights.tobytes()
         assert pure.model.intercept == narrowed.model.intercept
 
     def test_overlapping_schemas_use_common_columns(self):
@@ -185,7 +181,8 @@ class TestRunIfsOur:
             indicator_config,
         )
         assert ours.predicted.tobytes() == minimal.predicted.tobytes()
-        assert ours.probabilities.tobytes() == minimal.probabilities.tobytes()
+        assert ours.model.weights.tobytes() == minimal.model.weights.tobytes()
+        assert ours.model.intercept == minimal.model.intercept
 
     def test_beats_random_baseline_with_planted_signal(self):
         rng = np.random.default_rng(46)
@@ -213,7 +210,7 @@ class TestRunMix:
         fused = run_mix(pure, profile, np.array(actual))
         assert list(fused.predicted) == [1, 0, 1]
         assert fused.method is Method.MIX
-        assert fused.probabilities is None
+        assert fused.model is None
         assert fused.source_name == "s+s"
 
     def test_both_negative_stays_negative(self):
@@ -330,18 +327,20 @@ class TestPredictionOutcomeValidation:
         with pytest.raises(ValueError, match="binary"):
             PredictionOutcome(
                 source_name="s", target_name="t", method=Method.CPDP_PURE,
-                predicted=np.array([0, 2]), probabilities=None,
-                confusion=ConfusionMatrix(1, 0, 1, 0),
-                precision=1.0, recall=1.0, f_measure=1.0,
+                predicted=np.array([0, 2]), confusion=ConfusionMatrix(1, 0, 1, 0),
             )
 
-    def test_probability_shape_checked(self):
-        with pytest.raises(ValueError, match="align"):
+    def test_scores_come_from_the_confusion_counts(self):
+        confusion = ConfusionMatrix(tp=2, fp=1, tn=0, fn=1)
+        outcome = PredictionOutcome(
+            source_name="s", target_name="t", method=Method.CPDP_PURE,
+            predicted=np.array([1, 1, 1, 0]), confusion=confusion,
+        )
+        assert (outcome.precision, outcome.recall, outcome.f_measure) == prf(confusion)
+        with pytest.raises(TypeError):
             PredictionOutcome(
                 source_name="s", target_name="t", method=Method.CPDP_PURE,
-                predicted=np.array([0, 1]), probabilities=np.array([0.5]),
-                confusion=ConfusionMatrix(1, 0, 1, 0),
-                precision=1.0, recall=1.0, f_measure=1.0,
+                predicted=np.array([1]), confusion=confusion, f_measure=1.0,
             )
 
 
