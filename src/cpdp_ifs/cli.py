@@ -242,7 +242,11 @@ def _cmd_box(args: argparse.Namespace) -> int:
         raise ConfigError("box needs exactly one of --csv or --results")
     if args.results:
         # The report holds this table, computed from the unrounded f-measures.
-        sys.stdout.write((Path(args.results) / "boxplot_summary.csv").read_text(encoding="utf-8"))
+        path = Path(args.results) / "boxplot_summary.csv"
+        try:
+            sys.stdout.write(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
         return EXIT_OK
     header, rows = _read_csv_rows(args.csv)
     groups: dict[str, list[float]] = {}

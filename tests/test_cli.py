@@ -470,6 +470,14 @@ class TestBox:
         assert main(["box", "--csv", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: 'utf-8' codec")
 
+    def test_results_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "boxplot_summary.csv"
+        path.write_bytes(b"group,n\ncaf\xe9,1\n")
+        assert main(["box", "--results", str(tmp_path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {path}: 'utf-8' codec")
+
     def test_signed_zero_cells_print_as_before(self, tmp_path, capsys):
         # Which zero lands at a quartile's index is up to the partition, and
         # the sign shows in the output.
