@@ -5,7 +5,8 @@ Runs every cross-family profile prediction the config allows through
 ``run_plan`` with the ``ifs_our`` method alone, collects the absolute model
 weight of each indicator per pair (the matrices are z-scored before
 training, so magnitudes are comparable), and prints the indicators ranked by
-their mean absolute weight. Every pair that failed is printed as skipped.
+their mean absolute weight and its sample deviation, which is left empty when
+only one pair was scored. Every pair that failed is printed as skipped.
 
 Usage:
     python3 scripts/indicator_weights.py --config demo_corpus/config.json
@@ -20,7 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from cpdp_ifs.experiment import ConfigError, DataError, load_config, load_projects, run_plan
+from cpdp_ifs.experiment import ConfigError, DataError, load_config, run_plan
 from cpdp_ifs.learner import coefficient_magnitudes
 from cpdp_ifs.predictors import Method
 from cpdp_ifs.profiles import INDICATOR_NAMES
@@ -36,7 +37,7 @@ def main() -> int:
 
     try:
         config = dataclasses.replace(load_config(args.config), methods=(Method.IFS_OUR,))
-        bundle = run_plan(config, load_projects(config))
+        bundle = run_plan(config)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -67,7 +68,9 @@ def main() -> int:
     )
     for name in ranked[: args.top]:
         values = np.array(magnitudes[name])
-        print(f"{name:<24} {values.mean():>14.4f} {values.std(ddof=1):>10.4f}")
+        # A sample deviation needs two pairs; with one the cell stays empty.
+        sd = f" {values.std(ddof=1):>10.4f}" if completed > 1 else ""
+        print(f"{name:<24} {values.mean():>14.4f}{sd}")
     return 0
 
 

@@ -19,7 +19,7 @@ from cpdp_ifs.corpus import (
     load_csv,
     summarize,
 )
-from cpdp_ifs.learner import LearnerParams, Model, classify, predict_proba, train
+from cpdp_ifs.learner import LearnerParams, Model, apply_threshold, predict_proba, train
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
@@ -29,7 +29,7 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.preprocess import NormalizationStats, PreprocessConfig, log_filter, zscore
+from cpdp_ifs.preprocess import PreprocessConfig, log_filter, zscore
 from cpdp_ifs.profiles import (
     INDICATOR_NAMES,
     CharacteristicVector,
@@ -58,13 +58,12 @@ __all__ = [
     "LearnerParams",
     "Method",
     "Model",
-    "NormalizationStats",
     "PredictionOutcome",
     "PreprocessConfig",
     "Project",
+    "apply_threshold",
     "characterize_instance",
     "characterize_project",
-    "classify",
     "cliffs_delta",
     "dpr",
     "enumerate_pairs",

@@ -277,15 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DataFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        # Statistical preconditions (degenerate pairing, undefined DPR, ...)
-        # are properties of the supplied data.
+    except (OSError, ValueError) as exc:
+        # Unreadable or malformed files, and statistical preconditions
+        # (degenerate pairing, undefined DPR, ...), are properties of the
+        # supplied data.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -151,8 +151,11 @@ def summarize(project: Project) -> DatasetSummary:
 
 
 def _read_rows(path: Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_feature_cell(cell: str, row_no: int, column: str) -> float:
@@ -317,22 +320,25 @@ def load_arff(
     data_lines: list[str] = []
     saw_relation = False
     in_data = False
-    with open(path, encoding="utf-8-sig") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if in_data:
-                data_lines.append(line)
-            elif low.startswith("@relation"):
-                saw_relation = True
-            elif low.startswith("@attribute"):
-                attributes.append(_parse_attribute_line(line, path))
-            elif low.startswith("@data"):
-                in_data = True
-            else:
-                raise DataFormatError(f"{path}: unexpected line before @data: {line!r}")
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for raw in handle:
+                line = raw.strip()
+                if not line or line.startswith("%"):
+                    continue
+                low = line.lower()
+                if in_data:
+                    data_lines.append(line)
+                elif low.startswith("@relation"):
+                    saw_relation = True
+                elif low.startswith("@attribute"):
+                    attributes.append(_parse_attribute_line(line, path))
+                elif low.startswith("@data"):
+                    in_data = True
+                else:
+                    raise DataFormatError(f"{path}: unexpected line before @data: {line!r}")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if not saw_relation:
         raise DataFormatError(f"{path}: missing @relation declaration")
     if not in_data:

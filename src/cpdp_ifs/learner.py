@@ -263,16 +263,6 @@ def apply_threshold(probabilities: float | np.ndarray, threshold: float) -> int 
     return (probabilities >= threshold).astype(np.int8)
 
 
-def classify(
-    model: Model, features: np.ndarray, threshold: float | None = None
-) -> int | np.ndarray:
-    """:func:`apply_threshold` on the model's probabilities; the threshold
-    defaults to the model's decision threshold."""
-    if threshold is None:
-        threshold = model.params.decision_threshold
-    return apply_threshold(predict_proba(model, features), threshold)
-
-
 def coefficient_magnitudes(model: Model) -> tuple[tuple[str, float], ...]:
     """(feature name, |weight|) pairs in the model's feature order."""
     return tuple((name, abs(float(w))) for name, w in zip(model.feature_names, model.weights))

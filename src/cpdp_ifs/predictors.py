@@ -98,7 +98,7 @@ def _train_and_classify(
     def prepare(side: Project, cols: tuple[int, ...]) -> np.ndarray:
         # Every column in order is the matrix itself; a fancy index would copy it.
         matrix = side.matrix if cols == tuple(range(side.n_features)) else side.matrix[:, cols]
-        return preprocess_matrix(matrix, preprocessing)[0]
+        return preprocess_matrix(matrix, preprocessing)
 
     source_ready, target_ready = (
         memo.get(("prepared", method, side.name, columns), lambda: prepare(side, cols))

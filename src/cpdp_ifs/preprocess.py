@@ -12,27 +12,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class NormalizationStats:
-    """Column means and sample standard deviations used for z-scoring.
-
-    Constant columns carry sd 0 here; their z-scores are defined as 0.
-    """
-
-    mean: np.ndarray
-    sd: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        sd = np.asarray(self.sd, dtype=float)
-        if mean.shape != sd.shape or mean.ndim != 1:
-            raise ValueError("mean and sd must be one-dimensional arrays of equal length")
-        mean.setflags(write=False)
-        sd.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
-
-
-@dataclass(frozen=True)
 class PreprocessConfig:
     """Which preprocessing steps to apply before training or profiling.
 
@@ -52,11 +31,11 @@ def log_filter(matrix: np.ndarray) -> np.ndarray:
     return np.log1p(matrix)
 
 
-def zscore(matrix: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
+def zscore(matrix: np.ndarray) -> np.ndarray:
     """Z-score each column with its own mean and sample (n-1) deviation.
 
-    Columns that are exactly constant become all zeros and report sd 0.
-    Requires at least two rows; a single row has no sample deviation.
+    Columns that are exactly constant become all zeros. Requires at least
+    two rows; a single row has no sample deviation.
     """
     # Row-major layout pins the reduction order, so column statistics are
     # bitwise reproducible no matter how the caller sliced the matrix.
@@ -67,24 +46,20 @@ def zscore(matrix: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
     if m < 2:
         raise ValueError("insufficient rows for normalization (need at least 2)")
     mean = matrix.mean(axis=0)
-    sd = matrix.std(axis=0, ddof=1)
     # Exact max==min is the constancy test; near-cancellation in the mean can
     # leave a tiny nonzero sd on constant columns and blow up the quotient.
     constant = matrix.max(axis=0) == matrix.min(axis=0)
-    sd = np.where(constant, 0.0, sd)
-    safe_sd = np.where(constant, 1.0, sd)
-    normalized = (matrix - mean) / safe_sd
+    sd = np.where(constant, 1.0, matrix.std(axis=0, ddof=1))
+    normalized = (matrix - mean) / sd
     normalized[:, constant] = 0.0
-    return normalized, NormalizationStats(mean=mean, sd=sd)
+    return normalized
 
 
-def preprocess_matrix(
-    matrix: np.ndarray, config: PreprocessConfig
-) -> tuple[np.ndarray, NormalizationStats | None]:
+def preprocess_matrix(matrix: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     """Run the configured pipeline: log filter first, then normalization."""
     matrix = np.asarray(matrix, dtype=float)
     if config.log_filter:
         matrix = log_filter(matrix)
     if config.normalize:
         return zscore(matrix)
-    return matrix.copy(), None
+    return matrix.copy()

@@ -146,7 +146,7 @@ def characterize_project(
     Use ``PreprocessConfig(normalize=False)`` for projects with a single
     instance, which cannot be z-scored.
     """
-    matrix, _ = preprocess_matrix(project.matrix, preprocessing)
+    matrix = preprocess_matrix(project.matrix, preprocessing)
     return Project(
         project.name, project.dataset_family, FeatureSchema(INDICATOR_NAMES),
         _indicator_matrix(matrix), project.labels,

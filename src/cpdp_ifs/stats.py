@@ -4,8 +4,11 @@ The exact signed-rank test counts sign assignments with an integer
 subset-sum table over doubled midranks. The test suite holds it to
 bit-for-bit agreement with a brute-force enumeration that shares none of
 its code. The Pearson p-value is a Student-t tail computed as a regularized
-incomplete beta with the math module alone; the suite holds it within 1e-13
-of a 50-digit reference.
+incomplete beta with the math module alone. The suite holds it within 1e-13
+of a 50-digit reference for df 1-59, 100 and 1e4 at fixed t, and for df 1e4,
+1e6 and 1e8 at t <= 5. Outside that, it is up to 2.0e-13 off near t = 3.9
+for df 2e3-1e8, and 3.8e-12 at df = 1e9. A run's df is a target's number of
+profile sources less 2.
 """
 
 from __future__ import annotations
@@ -124,9 +127,13 @@ def cliffs_delta(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _midranks(magnitudes: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their positions."""
+    """Doubled 1-based ranks, tied values sharing the mean of their positions.
+
+    A tie group of ``k`` values ending at position ``c`` has midrank
+    ``c - (k - 1) / 2``; doubled, that is the integer ``2c - k + 1``.
+    """
     _, inverse, counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return (2 * np.cumsum(counts) - counts + 1)[inverse]
 
 
 def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,17 +148,6 @@ def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if diffs.size == 0:
         raise ValueError("degenerate pairing: all differences are zero")
     return diffs
-
-
-def _doubled_ranks(ranks: np.ndarray) -> list[int]:
-    doubled = []
-    for rank in ranks:
-        twice = 2.0 * rank
-        rounded = round(twice)
-        if abs(twice - rounded) > 1e-9:
-            raise AssertionError("midranks must be multiples of one half")
-        doubled.append(int(rounded))
-    return doubled
 
 
 def _exact_two_sided_p(doubled_ranks: list[int], doubled_statistic: int) -> float:
@@ -190,19 +186,19 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
         raise ValueError(f"unknown method {method!r}")
     diffs = _effective_differences(x, y)
     n = diffs.size
-    ranks = _midranks(np.abs(diffs))
-    w_plus = float(np.sum(ranks[diffs > 0]))
+    doubled = _midranks(np.abs(diffs))
+    doubled_w_plus = int(doubled[diffs > 0].sum())
+    w_plus = doubled_w_plus / 2
 
     if method == "auto":
         method = "exact" if n <= _EXACT_CUTOFF else "asymptotic"
 
     if method == "exact":
-        doubled = _doubled_ranks(ranks)
-        p_value = _exact_two_sided_p(doubled, int(round(2.0 * w_plus)))
+        p_value = _exact_two_sided_p(doubled.tolist(), doubled_w_plus)
         return WilcoxonResult(statistic=w_plus, p_value=p_value, n_effective=n, method_used="exact")
 
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
+    _, tie_counts = np.unique(doubled, return_counts=True)
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / 48.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     z = (w_plus - mean) / math.sqrt(variance)

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cpdp_ifs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
+from cpdp_ifs.profiles import INDICATOR_NAMES
 
 from synth import corpus_projects, write_corpus, write_project_csv
 
@@ -89,6 +91,28 @@ class TestIngest:
         assert result.returncode == EXIT_DATA
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("p.csv", b"loc,bug\n1,0\n2,1\ncaf\xe9,0\n"),
+            ("p.arff", b"@relation caf\xe9\n@attribute loc numeric\n@attribute bug {0,1}\n@data\n"),
+        ],
+        ids=["csv", "arff"],
+    )
+    def test_data_file_not_utf8_exits_2_naming_the_file(
+        self, tmp_path, capsys, command, name, data
+    ):
+        (tmp_path / name).write_bytes(data)
+        config = {"datasets": [{"name": "p", "path": name}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        args = [command, "--config", str(tmp_path / "config.json")]
+        if command == "run":
+            args += ["--out", str(tmp_path / "report")]
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: dataset 'p': {tmp_path / name}: 'utf-8' codec")
 
     @pytest.mark.parametrize(
         "name, text, message",
@@ -592,7 +616,7 @@ class TestUsage:
                         and obj.__module__ == module.__name__):
                     found.append(name)
                     assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
-        assert len(found) == 23
+        assert len(found) == 22
 
     def test_console_script_help(self):
         result = subprocess.run(
@@ -606,13 +630,9 @@ class TestUsage:
 
 
 class TestIndicatorWeights:
-    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path):
+    @staticmethod
+    def run_script(tmp_path, projects):
         repo = Path(__file__).resolve().parents[1]
-        projects = [p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0")]
-        one = corpus_projects()[-1]
-        projects.append(
-            dataclasses.replace(one, name="tiny", matrix=one.matrix[:1], labels=one.labels[:1])
-        )
         specs = []
         for project in projects:
             write_project_csv(tmp_path / f"{project.name}.csv", project)
@@ -625,13 +645,21 @@ class TestIndicatorWeights:
             )
         (tmp_path / "config.json").write_text(json.dumps({"datasets": specs}), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, str(repo / "scripts" / "indicator_weights.py"),
              "--config", str(tmp_path / "config.json")],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path):
+        projects = [p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0")]
+        one = corpus_projects()[-1]
+        projects.append(
+            dataclasses.replace(one, name="tiny", matrix=one.matrix[:1], labels=one.labels[:1])
+        )
+        result = self.run_script(tmp_path, projects)
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
         skipped = sorted(line for line in result.stderr.splitlines() if line.startswith("skipped"))
@@ -640,3 +668,19 @@ class TestIndicatorWeights:
             for pair in ("fam_a_p0->tiny", "fam_b_p0->tiny", "tiny->fam_a_p0", "tiny->fam_b_p0")
         ]
         assert result.stdout.splitlines()[0] == "pairs scored: 2"
+
+    def test_one_scored_pair_leaves_the_sd_empty(self, tmp_path):
+        source, target = (p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0"))
+        single_class = dataclasses.replace(target, labels=np.zeros_like(target.labels))
+        result = self.run_script(tmp_path, [source, single_class])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            "skipped fam_b_p0->fam_a_p0: "
+            "degenerate training set: all labels belong to one class"
+        ]
+        lines = result.stdout.splitlines()
+        assert lines[0] == "pairs scored: 1"
+        assert len(lines) == 2 + len(INDICATOR_NAMES)
+        for line in lines[2:]:
+            assert len(line.split()) == 2, line
+            assert "nan" not in line

@@ -17,7 +17,7 @@ from cpdp_ifs.learner import (
     _expit,
     _penalized_gradient,
     _penalized_objective,
-    classify,
+    apply_threshold,
     coefficient_magnitudes,
     load_model,
     predict_proba,
@@ -69,7 +69,8 @@ class TestTrain:
         X = np.array([[-1.0], [-2.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         model = train(X, y, ["x"])
-        assert np.array_equal(classify(model, X), [0, 0, 1, 1])
+        predicted = apply_threshold(predict_proba(model, X), model.params.decision_threshold)
+        assert np.array_equal(predicted, [0, 0, 1, 1])
         assert model.meta.converged
 
     def test_single_class_rejected(self):
@@ -330,23 +331,27 @@ class TestClassify:
         # feature value 0 gives probability exactly 0.5
         model = identity_model([1.0])
         logit = lambda p: math.log(p / (1.0 - p))
-        predictions = classify(model, np.array([[logit(0.4)], [0.0], [logit(0.6)]]))
+        probabilities = predict_proba(model, np.array([[logit(0.4)], [0.0], [logit(0.6)]]))
+        predictions = apply_threshold(probabilities, model.params.decision_threshold)
         assert list(predictions) == [0, 1, 1]
 
     def test_high_threshold_suppresses_all(self):
         model = identity_model([1.0], decision_threshold=0.999)
-        predictions = classify(model, np.array([[0.0], [1.0], [2.0]]))
+        probabilities = predict_proba(model, np.array([[0.0], [1.0], [2.0]]))
+        predictions = apply_threshold(probabilities, model.params.decision_threshold)
         assert list(predictions) == [0, 0, 0]
 
     def test_explicit_threshold_overrides_params(self):
         model = identity_model([1.0])
-        assert classify(model, np.array([1.0]), threshold=0.9) == 0
-        assert classify(model, np.array([1.0]), threshold=0.5) == 1
+        probability = predict_proba(model, np.array([1.0]))
+        assert apply_threshold(probability, 0.9) == 0
+        assert apply_threshold(probability, 0.5) == 1
 
     def test_separable_example(self):
         X = np.array([[-1.0], [-2.0], [1.0], [2.0]])
         model = train(X, np.array([0, 0, 1, 1]), ["x"])
-        assert list(classify(model, X)) == [0, 0, 1, 1]
+        predicted = apply_threshold(predict_proba(model, X), model.params.decision_threshold)
+        assert list(predicted) == [0, 0, 1, 1]
 
 
 class TestCoefficientMagnitudes:

@@ -426,7 +426,9 @@ class TestScipyStatsParity:
     def test_midranks_match_rankdata_bitwise(self, values):
         magnitudes = np.array(values)
         expected = scipy.stats.rankdata(magnitudes, method="average")
-        assert np.array_equal(_midranks(magnitudes), expected)
+        doubled = _midranks(magnitudes)
+        assert doubled.dtype.kind == "i"
+        assert np.array_equal(doubled, 2 * expected)
 
     def test_pearson_p_matches_t_sf_to_six_decimals(self):
         # dpr_analysis.csv writes p with six decimals.
