@@ -30,12 +30,7 @@ from cpdp_ifs.predictors import (
     run_mix,
 )
 from cpdp_ifs.preprocess import PreprocessConfig, log_filter, zscore
-from cpdp_ifs.profiles import (
-    INDICATOR_NAMES,
-    CharacteristicVector,
-    characterize_instance,
-    characterize_project,
-)
+from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_instance, characterize_project
 from cpdp_ifs.stats import (
     ComparisonResult,
     ConfusionMatrix,
@@ -49,7 +44,6 @@ from cpdp_ifs.stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacteristicVector",
     "ComparisonResult",
     "ConfusionMatrix",
     "DatasetSummary",

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "exact", "asymptotic"),
         default="auto",
-        help="signed-rank branch selection",
+        help="signed-rank branch selection; exact takes at most 200 effective pairs",
     )
 
     dpr_cmd = sub.add_parser("dpr", help="defect proneness ratio of a source/target pair")

@@ -200,6 +200,14 @@ def _select_columns(
     return indices, label_idx, names
 
 
+def _label_at(path: Path, cell: str, row_no: int) -> int:
+    """:func:`binarize_label`, with the file and the data row in its fault."""
+    try:
+        return binarize_label(cell)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc} at data row {row_no}") from None
+
+
 _RowFault = Callable[[list[str], int], str | None]
 _LabelOf = Callable[[str, int], int]
 
@@ -269,7 +277,7 @@ def load_csv(
 
     return _project_from_cells(
         header, data_rows, columns, schema_config, name or path.stem, family,
-        row_fault, lambda cell, row_no: binarize_label(cell),
+        row_fault, lambda cell, row_no: _label_at(path, cell, row_no),
     )
 
 
@@ -379,7 +387,7 @@ def load_arff(
                 f"{path}: unknown value token {cell!r} at data row {row_no} "
                 f"(declared: {sorted(nominal_values[label_name])})"
             )
-        return binarize_label(cell)
+        return _label_at(path, cell, row_no)
 
     rows = [list(map(str.strip, line.split(","))) for line in data_lines]
     return _project_from_cells(

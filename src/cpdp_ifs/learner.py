@@ -99,19 +99,6 @@ def _expit(eta: float | np.ndarray) -> float | np.ndarray:
     return (1.0 / (1.0 + exps.reshape(arr.shape)))[()]
 
 
-def _penalty_mask(n_params: int) -> np.ndarray:
-    mask = np.ones(n_params)
-    mask[0] = 0.0  # the intercept is never penalized
-    return mask
-
-
-def _penalized_objective(
-    w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
-) -> tuple[float, float]:
-    """(objective, log-likelihood) of -loglik + (ridge/2)*||weights||^2."""
-    return _objective_at(design @ w, w, y, ridge, _penalty_mask(w.size))
-
-
 def _objective_at(
     eta: np.ndarray, w: np.ndarray, y: np.ndarray, ridge: float, mask: np.ndarray
 ) -> tuple[float, float]:
@@ -122,17 +109,11 @@ def _objective_at(
     return -log_lik + penalty, log_lik
 
 
-def _penalized_gradient(
-    w: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float
-) -> np.ndarray:
-    return _gradient_at(_expit(design @ w), w, design, y, ridge * _penalty_mask(w.size))
-
-
 def _gradient_at(
     prob: np.ndarray, w: np.ndarray, design: np.ndarray, y: np.ndarray, ridges: np.ndarray
 ) -> np.ndarray:
     """The penalized gradient given the fitted probabilities ``_expit(design @ w)``
-    and each parameter's ridge, ``ridge * _penalty_mask(w.size)``."""
+    and each parameter's ridge, zero for the intercept."""
     return design.T @ (prob - y) + ridges * w
 
 
@@ -175,7 +156,8 @@ def train(
 
     X1 = np.hstack([np.ones((m, 1)), X])
     # Built once per fit: the penalty mask, the ridges and the Hessian's terms.
-    mask = _penalty_mask(n + 1)
+    mask = np.ones(n + 1)
+    mask[0] = 0.0  # the intercept is never penalized
     ridges = params.ridge * mask
     ridge_diagonal = np.diag(ridges)
     identity = np.eye(n + 1)

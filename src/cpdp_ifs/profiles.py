@@ -13,8 +13,6 @@ scaling can merge or split them. This shows only with ``normalize: false``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
@@ -106,33 +104,14 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """The 16 distribution indicators of one instance, in canonical order."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(INDICATOR_NAMES),):
-            raise ValueError(f"expected {len(INDICATOR_NAMES)} indicator values, got {values.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(value) for name, value in zip(INDICATOR_NAMES, self.values)}
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[INDICATOR_NAMES.index(name)])
-
-
-def characterize_instance(values: np.ndarray) -> CharacteristicVector:
-    """Summarize one instance's metric values into the 16 indicators.
+def characterize_instance(values: np.ndarray) -> np.ndarray:
+    """The 16 indicators of one instance's metric values, as a ``(16,)`` row
+    in ``INDICATOR_NAMES`` order.
 
     The result depends only on the multiset of values, not their order.
     """
     row = np.asarray(values, dtype=float).ravel()
-    return CharacteristicVector(values=_indicator_matrix(row[np.newaxis, :])[0])
+    return _indicator_matrix(row[np.newaxis, :])[0]
 
 
 def characterize_project(

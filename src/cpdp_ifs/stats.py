@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EXACT_CUTOFF = 12
+_EXACT_MAX_PAIRS = 200  # the exact table grows as n^3; its tail overflows a float near 1024
 _FRACTION_MAX_TERMS = 10_000
 _FRACTION_TINY = 1e-300
 
@@ -181,11 +182,17 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
     statistic is W+ (rank sum of positive differences). ``auto`` switches
     from the exact null distribution to the tie-corrected normal
     approximation (no continuity correction) above 12 effective pairs.
+    ``exact`` refuses more than 200 effective pairs.
     """
     if method not in ("auto", "exact", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
     diffs = _effective_differences(x, y)
     n = diffs.size
+    if method == "exact" and n > _EXACT_MAX_PAIRS:
+        raise ValueError(
+            f"exact signed-rank test takes at most {_EXACT_MAX_PAIRS} effective pairs, "
+            f"got {n}; use method 'asymptotic'"
+        )
     doubled = _midranks(np.abs(diffs))
     doubled_w_plus = int(doubled[diffs > 0].sum())
     w_plus = doubled_w_plus / 2
@@ -283,15 +290,6 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(small) - log_ratio
 
 
-def _regularized_beta(x: float, y: float, a: float, b: float) -> float:
-    """``I_x(a, b)`` for ``0 <= x <= 1``, where the caller passes ``y = 1 - x``
-    computed without cancellation."""
-    if x > (a + 1.0) / (a + b + 2.0):
-        # The fraction converges fast only below this point; use the symmetry.
-        return 1.0 - _fraction_side(y, x, b, a)
-    return _fraction_side(x, y, a, b)
-
-
 def _fraction_side(x: float, y: float, a: float, b: float) -> float:
     """``I_x(a, b)`` from the continued fraction in ``x``, wherever ``x`` lies."""
     if x == 0.0:
@@ -313,9 +311,11 @@ def _student_t_two_sided_p(t: float, df: int) -> float:
     """
     t2 = t * t
     x, y = df / (df + t2), t2 / (df + t2)
-    if df > 1000 and t2 < 15.0:
-        return 1.0 - _fraction_side(y, x, 0.5, 0.5 * df)
-    return _regularized_beta(x, y, 0.5 * df, 0.5)
+    a, b = 0.5 * df, 0.5
+    # Beyond (a + 1)/(a + b + 2) the fraction in x is slow; take 1 - I_y(b, a).
+    if x > (a + 1.0) / (a + b + 2.0) or (df > 1000 and t2 < 15.0):
+        return 1.0 - _fraction_side(y, x, b, a)
+    return _fraction_side(x, y, a, b)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

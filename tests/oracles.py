@@ -286,6 +286,15 @@ def _reference_label(token: str) -> int:
     return 1 if value > 0 else 0
 
 
+def _reference_label_at(path, token: str, row_no: int) -> int:
+    from cpdp_ifs.corpus import DataFormatError
+
+    try:
+        return _reference_label(token)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc} at data row {row_no}") from None
+
+
 def _reference_cell(cell: str, row_no: int, column: str) -> float:
     from cpdp_ifs.corpus import DataFormatError
 
@@ -347,7 +356,7 @@ def reference_load_csv(path, schema):
             )
         for c, idx in enumerate(feature_idx):
             matrix[r, c] = _reference_cell(row[idx], r + 1, header[idx])
-        labels[r] = _reference_label(row[label_idx])
+        labels[r] = _reference_label_at(path, row[label_idx], r + 1)
     return matrix, labels, names
 
 
@@ -446,7 +455,7 @@ def reference_load_arff(path, schema):
                 f"{path}: unknown value token {label_cell!r} at data row {r + 1} "
                 f"(declared: {sorted(nominal_values[label_name])})"
             )
-        labels[r] = _reference_label(label_cell)
+        labels[r] = _reference_label_at(path, label_cell, r + 1)
     return matrix, labels, names
 
 

@@ -16,8 +16,8 @@ import pytest
 from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.learner import (
     LearnerParams,
-    _penalized_gradient,
-    _penalized_objective,
+    _expit,
+    _gradient_at,
     apply_threshold,
     predict_proba,
     train,
@@ -32,7 +32,7 @@ from cpdp_ifs.predictors import (
     run_mix,
 )
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix, zscore
-from cpdp_ifs.profiles import characterize_instance, characterize_project
+from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_instance, characterize_project
 from cpdp_ifs.stats import (
     ConfusionMatrix,
     cliffs_delta,
@@ -40,7 +40,13 @@ from cpdp_ifs.stats import (
     wilcoxon_signed_rank,
 )
 
-from oracles import grid_logistic_oracle, mc_random_baseline, wilcoxon_exact_oracle
+from oracles import (
+    _reference_mask,
+    _reference_objective,
+    grid_logistic_oracle,
+    mc_random_baseline,
+    wilcoxon_exact_oracle,
+)
 from synth import planted_project
 
 CRITERIA = (
@@ -140,9 +146,10 @@ def test_criterion_5a_characterization_invariants():
         for _ in range(1000):
             n = int(rng.integers(1, 40))
             values = rng.normal(0.0, 1.0 + 9.0 * rng.random(), size=n)
-            profile = characterize_instance(values)
+            row = characterize_instance(values)
             shuffled = characterize_instance(rng.permutation(values))
-            assert np.array_equal(profile.values, shuffled.values)
+            assert np.array_equal(row, shuffled)
+            profile = dict(zip(INDICATOR_NAMES, row))
             assert profile["min"] <= profile["first_quartile"]
             assert profile["first_quartile"] <= profile["median"]
             assert profile["median"] <= profile["third_quartile"]
@@ -216,14 +223,15 @@ def test_criterion_5e_gradient_matches_finite_differences():
             y = rng.integers(0, 2, size=m).astype(float)
             w = rng.normal(scale=0.8, size=k + 1)
             ridge = float(rng.uniform(0.0, 0.5))
-            analytic = _penalized_gradient(w, design, y, ridge)
+            ridges = ridge * _reference_mask(w.size)
+            analytic = _gradient_at(_expit(design @ w), w, design, y, ridges)
             numeric = np.empty_like(analytic)
             for j in range(w.size):
                 bumped = w.copy()
                 bumped[j] += step
-                high, _ = _penalized_objective(bumped, design, y, ridge)
+                high, _ = _reference_objective(bumped, design, y, ridge)
                 bumped[j] -= 2.0 * step
-                low, _ = _penalized_objective(bumped, design, y, ridge)
+                low, _ = _reference_objective(bumped, design, y, ridge)
                 numeric[j] = (high - low) / (2.0 * step)
             scale = max(float(np.linalg.norm(analytic)), 1.0)
             assert float(np.linalg.norm(analytic - numeric)) / scale < 1e-5

@@ -325,6 +325,13 @@ class TestCompare:
         assert code == EXIT_DATA
         assert "degenerate pairing" in capsys.readouterr().err
 
+    def test_exact_on_more_than_200_pairs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("a,b\n" + "".join(f"{i},0\n" for i in range(1, 202)), encoding="utf-8")
+        code = main(["compare", "--csv", str(path), "--method", "exact"])
+        assert code == EXIT_DATA
+        assert "use method 'asymptotic'" in capsys.readouterr().err
+
     def test_single_column_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("a\n0.5\n0.6\n", encoding="utf-8")
@@ -616,7 +623,26 @@ class TestUsage:
                         and obj.__module__ == module.__name__):
                     found.append(name)
                     assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
-        assert len(found) == 22
+        assert len(found) == 21
+
+    def test_every_private_helper_is_used_in_src(self):
+        # A private function or class that only tests reach is dead code.
+        import ast
+
+        src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(src.glob("*.py"))}
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        unused = [
+            f"{file}: {node.name}" for file, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in used
+        ]
+        assert not unused, f"private helpers nothing in src/ uses: {unused}"
 
     def test_console_script_help(self):
         result = subprocess.run(

@@ -108,7 +108,24 @@ class TestProject:
             make_project(["a"], np.empty((0, 1)), [])
 
 
+# A label cell that binarize_label rejects, and the fault it names.
+LABEL_FAULTS = pytest.mark.parametrize(
+    "cell, fault",
+    [("maybe", "unknown value token 'maybe' in label column"),
+     ("inf", "non-finite label value 'inf'")],
+    ids=["unknown_token", "non_finite"],
+)
+
+
 class TestLoadCsv:
+    @LABEL_FAULTS
+    def test_label_fault_names_the_file_and_row(self, tmp_path, cell, fault):
+        path = tmp_path / "lab.csv"
+        path.write_text(f"loc,bug\n1,0\n2,{cell}\n3,1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, FeatureSchema(label_column="bug"))
+        assert str(info.value) == f"{path}: {fault} at data row 2"
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "demo.csv"
         path.write_text("wmc,loc,bug\n1,10,0\n2,20,1\n3,30,0\n", encoding="utf-8")
@@ -180,6 +197,18 @@ class TestLoadCsv:
 
 
 class TestLoadArff:
+    @LABEL_FAULTS
+    def test_numeric_label_fault_names_the_file_and_row(self, tmp_path, cell, fault):
+        path = tmp_path / "lab.arff"
+        path.write_text(
+            "@relation lab\n@attribute loc numeric\n@attribute bug numeric\n"
+            f"@data\n1,0\n2,{cell}\n3,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataFormatError) as info:
+            load_arff(path, FeatureSchema(label_column="bug"))
+        assert str(info.value) == f"{path}: {fault} at data row 2"
+
     def test_minimal_nominal_class(self, tmp_path):
         path = tmp_path / "mini.arff"
         path.write_text(

@@ -14,6 +14,11 @@ from cpdp_ifs.profiles import (
 
 from oracles import _indicator_values, reference_indicators
 
+
+def indicators(values) -> dict[str, float]:
+    return dict(zip(INDICATOR_NAMES, characterize_instance(values)))
+
+
 CANONICAL_ORDER = (
     "min",
     "max",
@@ -52,8 +57,14 @@ class TestIndicatorOrder:
 
 
 class TestCharacterizeInstance:
+    def test_returns_the_indicator_row(self):
+        row = characterize_instance(np.array([[4.0, 1.0], [3.0, 2.0]]))
+        assert row.shape == (16,) and row.dtype == float
+        assert np.array_equal(row, characterize_instance([1.0, 2.0, 3.0, 4.0]))
+        assert row[INDICATOR_NAMES.index("sum")] == 10.0
+
     def test_hand_vector(self):
-        d = characterize_instance([1.0, 2.0, 3.0, 4.0]).as_dict()
+        d = indicators([1.0, 2.0, 3.0, 4.0])
         assert d["min"] == 1.0
         assert d["max"] == 4.0
         assert d["range"] == 3.0
@@ -69,12 +80,12 @@ class TestCharacterizeInstance:
 
     def test_hand_vector_mode_and_ratio(self):
         # all four values are distinct: the tie breaks to the smallest
-        d = characterize_instance([4.0, 2.0, 1.0, 3.0]).as_dict()
+        d = indicators([4.0, 2.0, 1.0, 3.0])
         assert d["mode"] == 1.0
         assert d["variation_ratio"] == 0.75
 
     def test_constant_vector(self):
-        d = characterize_instance([7.5] * 6).as_dict()
+        d = indicators([7.5] * 6)
         for key in ("min", "max", "mean", "median", "mode", "first_quartile", "third_quartile"):
             assert d[key] == 7.5
         for key in (
@@ -94,7 +105,7 @@ class TestCharacterizeInstance:
         # The computed mean misses 123456.7 by rounding, so the population
         # spread is 1.6e-11, above the degenerate threshold; a row with equal
         # ends still has no spread, skewness or excess kurtosis.
-        d = characterize_instance([123456.7] * 7).as_dict()
+        d = indicators([123456.7] * 7)
         assert d["variance"] == 0.0
         assert d["standard_deviation"] == 0.0
         assert d["mean_absolute_deviation"] == 0.0
@@ -102,7 +113,7 @@ class TestCharacterizeInstance:
         assert d["excess_kurtosis"] == 0.0
 
     def test_single_value(self):
-        d = characterize_instance([3.0]).as_dict()
+        d = indicators([3.0])
         assert d["min"] == d["max"] == d["median"] == d["mode"] == 3.0
         assert d["first_quartile"] == d["third_quartile"] == 3.0
         assert d["variance"] == 0.0
@@ -118,35 +129,35 @@ class TestCharacterizeInstance:
 
     def test_mode_groups_within_tolerance(self):
         # 1.00001 and 1.00002 land in one 4-decimal bucket
-        d = characterize_instance([5.0, 1.00002, 1.00001]).as_dict()
+        d = indicators([5.0, 1.00002, 1.00001])
         assert d["mode"] == 1.00001
         assert abs(d["variation_ratio"] - 1.0 / 3.0) < 1e-12
 
     def test_mode_tie_takes_smallest_bucket(self):
-        d = characterize_instance([2.0, 2.0, 9.0, 9.0, 5.0]).as_dict()
+        d = indicators([2.0, 2.0, 9.0, 9.0, 5.0])
         assert d["mode"] == 2.0
         assert abs(d["variation_ratio"] - 3.0 / 5.0) < 1e-12
 
     def test_skewness_sign(self):
-        right_tailed = characterize_instance([1.0, 1.1, 1.2, 9.0]).as_dict()
+        right_tailed = indicators([1.0, 1.1, 1.2, 9.0])
         assert right_tailed["skewness"] > 0.0
-        left_tailed = characterize_instance([-9.0, 1.0, 1.1, 1.2]).as_dict()
+        left_tailed = indicators([-9.0, 1.0, 1.1, 1.2])
         assert left_tailed["skewness"] < 0.0
 
     def test_excess_kurtosis_hand_value(self):
-        d = characterize_instance([1.0, 2.0, 3.0, 4.0]).as_dict()
+        d = indicators([1.0, 2.0, 3.0, 4.0])
         assert abs(d["excess_kurtosis"] - (-1.36)) < 1e-12
 
     @given(st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=24), st.randoms())
     def test_permutation_invariance(self, values, shuffler):
-        base = characterize_instance(values).values
+        base = characterize_instance(values)
         permuted = list(values)
         shuffler.shuffle(permuted)
-        assert np.array_equal(base, characterize_instance(permuted).values)
+        assert np.array_equal(base, characterize_instance(permuted))
 
     @given(st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=24))
     def test_ordering_invariants(self, values):
-        d = characterize_instance(values).as_dict()
+        d = indicators(values)
         assert d["min"] <= d["first_quartile"] <= d["median"]
         assert d["median"] <= d["third_quartile"] <= d["max"]
         assert d["variance"] >= 0.0
@@ -161,7 +172,7 @@ class TestCharacterizeInstance:
             values = rng.normal(0.0, 10.0, size=size)
             if trial % 3 == 0:
                 values = np.round(values, 1)  # force repeated values
-            got = characterize_instance(values).as_dict()
+            got = indicators(values)
             want = reference_indicators(list(values))
             for key in INDICATOR_NAMES:
                 assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9), key
@@ -203,7 +214,7 @@ class TestCharacterizeProject:
         config = PreprocessConfig(normalize=False)
         profiled = characterize_project(project, config)
         for i in range(project.n_instances):
-            row = characterize_instance(project.matrix[i]).values
+            row = characterize_instance(project.matrix[i])
             assert np.array_equal(profiled.matrix[i], row)
 
     def test_normalization_applied_before_profiling(self):
@@ -215,8 +226,8 @@ class TestCharacterizeProject:
     def test_outlier_instance_has_larger_spread(self):
         moderate = [5.0, 5.2, 4.9, 5.1, 5.0, 4.8]
         outlier = [5.0, 5.2, 4.9, 5.1, 5.0, 50.0]
-        d_mod = characterize_instance(moderate).as_dict()
-        d_out = characterize_instance(outlier).as_dict()
+        d_mod = indicators(moderate)
+        d_out = indicators(outlier)
         for key in ("standard_deviation", "range", "excess_kurtosis"):
             assert d_out[key] > d_mod[key]
 
@@ -320,8 +331,8 @@ class TestScaleEquivariance:
     def test_mode_buckets_are_absolute(self):
         # 1.00006 and 1.00007 share a bucket that 1.00004 misses; doubled, all
         # three round to 2.0001, so the mode is not twice the original mode.
-        base = characterize_instance([1.00004, 1.00006, 1.00007]).as_dict()
-        doubled = characterize_instance([2.00008, 2.00012, 2.00014]).as_dict()
+        base = indicators([1.00004, 1.00006, 1.00007])
+        doubled = indicators([2.00008, 2.00012, 2.00014])
         assert base["mode"] == 1.00006
         assert doubled["mode"] == 2.00008
         assert base["variation_ratio"] == pytest.approx(1.0 / 3.0)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpdp_ifs import stats
 from cpdp_ifs.stats import (
     ComparisonResult,
     ConfusionMatrix,
@@ -246,6 +247,15 @@ class TestWilcoxonExactGoldens:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             wilcoxon_signed_rank([1.0], [0.0], method="bogus")
+
+    def test_exact_refuses_more_than_200_pairs_before_building_a_table(self, monkeypatch):
+        monkeypatch.setattr(stats, "_exact_two_sided_p", lambda *args: pytest.fail("table built"))
+        x, y = np.arange(1.0, 202.0), np.zeros(201)
+        refusal = "at most 200 effective pairs, got 201; use method 'asymptotic'"
+        with pytest.raises(ValueError, match=refusal):
+            wilcoxon_signed_rank(x, y, method="exact")
+        for method in ("auto", "asymptotic"):
+            assert wilcoxon_signed_rank(x, y, method=method).method_used == "asymptotic"
 
     def test_swap_preserves_p(self):
         p_forward = wilcoxon_signed_rank(PURE_OUR, PURE_MIN).p_value
