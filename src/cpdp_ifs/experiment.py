@@ -372,16 +372,13 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
 
 def best_per_target(
     outcomes: Iterable[PredictionOutcome],
-) -> dict[tuple[str, str], PredictionOutcome]:
-    """Best outcome per (method, target): highest f-measure, ties to the
-    lexicographically smallest source name."""
-    best: dict[tuple[str, str], PredictionOutcome] = {}
-    for outcome in outcomes:
-        key = (outcome.method.value, outcome.target_name)
-        current = best.get(key)
-        rank = (-outcome.f_measure, outcome.source_name)
-        if current is None or rank < (-current.f_measure, current.source_name):
-            best[key] = outcome
+) -> dict[Method, dict[str, PredictionOutcome]]:
+    """Best outcome per method and target, as ``best[method][target]``:
+    the highest f-measure, ties to the lexicographically smallest source
+    name. A method appears only with at least one target."""
+    best: dict[Method, dict[str, PredictionOutcome]] = {}
+    for outcome in sorted(outcomes, key=lambda o: (-o.f_measure, o.source_name)):
+        best.setdefault(outcome.method, {}).setdefault(outcome.target_name, outcome)
     return best
 
 
@@ -407,34 +404,25 @@ def _execute_pairs(
     config: ExperimentConfig, projects: Mapping[str, Project]
 ) -> tuple[list[PredictionOutcome], list[FailureRecord], dict[str, int]]:
     ordered = list(projects.values())
-    plans = []
-    planned_counts: dict[str, int] = {}
-    for method in config.methods:
-        if method is Method.MIX:
-            continue
-        method_plans = enumerate_pairs(ordered, method)
-        planned_counts[method.value] = len(method_plans)
-        plans.extend(method_plans)
+    plans = {m: enumerate_pairs(ordered, m) for m in config.methods if m is not Method.MIX}
+    planned_counts = {method.value: len(pairs) for method, pairs in plans.items()}
 
     outcomes: list[PredictionOutcome] = []
     failures: list[FailureRecord] = []
     memo = RunMemo()
 
-    def run_one(plan):
-        runner = _RUNNERS[plan.method]
-        return runner(
-            projects[plan.source_name],
-            projects[plan.target_name],
-            preprocessing=config.preprocessing,
-            params=config.learner,
-            memo=memo,
-        )
-
     # Imported here so that no other command loads concurrent.futures and logging.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [(plan, pool.submit(run_one, plan)) for plan in plans]
+        futures = [
+            (plan, pool.submit(
+                _RUNNERS[plan.method], projects[plan.source_name], projects[plan.target_name],
+                config.preprocessing, config.learner, memo,
+            ))
+            for pairs in plans.values()
+            for plan in pairs
+        ]
         for plan, future in futures:
             try:
                 outcomes.append(future.result())
@@ -446,18 +434,15 @@ def _execute_pairs(
 
 
 def _derive_mix(
-    best: dict[tuple[str, str], PredictionOutcome],
+    best: Mapping[Method, Mapping[str, PredictionOutcome]],
     projects: Mapping[str, Project],
 ) -> tuple[list[PredictionOutcome], list[FailureRecord]]:
     outcomes: list[PredictionOutcome] = []
     failures: list[FailureRecord] = []
-    targets = sorted(
-        {target for (method, target) in best if method == Method.CPDP_PURE.value}
-        & {target for (method, target) in best if method == Method.IFS_OUR.value}
-    )
-    for target in targets:
-        pure = best[(Method.CPDP_PURE.value, target)]
-        profile = best[(Method.IFS_OUR.value, target)]
+    pures = best.get(Method.CPDP_PURE, {})
+    profiles = best.get(Method.IFS_OUR, {})
+    for target in sorted(pures.keys() & profiles.keys()):
+        pure, profile = pures[target], profiles[target]
         try:
             outcomes.append(run_mix(pure, profile, projects[target].labels))
         except ValueError as exc:
@@ -470,17 +455,16 @@ def _derive_mix(
 
 
 def _build_comparisons(
-    methods: Sequence[Method], best: dict[tuple[str, str], PredictionOutcome]
+    methods: Sequence[Method], best: Mapping[Method, Mapping[str, PredictionOutcome]]
 ) -> tuple[ComparisonRow, ...]:
     rows = []
     for method_a, method_b in itertools.combinations(methods, 2):
-        targets_a = {t for (m, t) in best if m == method_a.value}
-        targets_b = {t for (m, t) in best if m == method_b.value}
-        common = sorted(targets_a & targets_b)
+        best_a, best_b = best.get(method_a, {}), best.get(method_b, {})
+        common = sorted(best_a.keys() & best_b.keys())
         test: tuple = (None, None, None, "no common targets")
         if common:
-            x = np.array([best[(method_a.value, t)].f_measure for t in common])
-            y = np.array([best[(method_b.value, t)].f_measure for t in common])
+            x = np.array([best_a[t].f_measure for t in common])
+            y = np.array([best_b[t].f_measure for t in common])
             try:
                 result = compare_paired(x, y)
                 test = (result.statistic, result.p_value, result.cliffs_delta, result.method_note)
@@ -492,22 +476,23 @@ def _build_comparisons(
 
 def analyze_dpr(
     outcomes: Sequence[PredictionOutcome],
-    best: Mapping[tuple[str, str], PredictionOutcome],
+    best: Mapping[Method, Mapping[str, PredictionOutcome]],
     summaries: Mapping[str, DatasetSummary],
 ) -> tuple[DprRow, ...]:
     """Relate the defect proneness ratio to prediction quality per target.
 
-    For each target with a best pure run: the DPR of that pure source, the
-    gain of the fused prediction over it, the below-threshold flag, and the
+    For each target in ``best[Method.CPDP_PURE]``, in name order: the DPR
+    of its best pure source, the gain of the target's fused prediction in
+    ``best[Method.MIX]`` over it, the below-threshold flag, and the
     correlation of DPR with profile-run f-measure across all profile
     sources that scored the target. ``best`` is :func:`best_per_target`
-    over ``outcomes``.
+    over ``outcomes``, with ``Method.MIX`` holding the fused outcomes; a
+    method absent from it has no targets.
     """
-    pure_targets = sorted({t for (m, t) in best if m == Method.CPDP_PURE.value})
+    mixes = best.get(Method.MIX, {})
     rows = []
-    for target in pure_targets:
-        pure = best[(Method.CPDP_PURE.value, target)]
-        mix = best.get((Method.MIX.value, target))
+    for target, pure in sorted(best.get(Method.CPDP_PURE, {}).items()):
+        mix = mixes.get(target)
         notes = []
 
         dpr_value: float | None
@@ -602,20 +587,11 @@ def run_plan(
         outcomes = outcomes + mix_outcomes
         failures = failures + mix_failures
         # One fused outcome per target, so each is that target's best mix.
-        best_map.update(((Method.MIX.value, o.target_name), o) for o in mix_outcomes)
+        best_map[Method.MIX] = {o.target_name: o for o in mix_outcomes}
 
-    best = tuple(
-        sorted(best_map.values(), key=lambda o: (o.method.value, o.target_name, o.source_name))
+    by_method = sorted(
+        (method.value, sorted(targets.items())) for method, targets in best_map.items() if targets
     )
-    comparisons = _build_comparisons(config.methods, best_map)
-    dpr_rows = (
-        analyze_dpr(outcomes, best_map, summaries) if Method.CPDP_PURE in config.methods else ()
-    )
-
-    groups: dict[str, list[float]] = {}
-    for outcome in best:
-        groups.setdefault(outcome.method.value, []).append(outcome.f_measure)
-    boxplots = emit_boxplot_summary({m: groups[m] for m in sorted(groups)}) if groups else ()
 
     return ReportBundle(
         config=config,
@@ -626,10 +602,10 @@ def run_plan(
         failures=tuple(
             sorted(failures, key=lambda f: (f.method.value, f.target_name, f.source_name))
         ),
-        best=best,
-        comparisons=comparisons,
-        dpr_rows=dpr_rows,
-        boxplots=boxplots,
+        best=tuple(o for _, rows in by_method for _, o in rows),
+        comparisons=_build_comparisons(config.methods, best_map),
+        dpr_rows=analyze_dpr(outcomes, best_map, summaries),
+        boxplots=emit_boxplot_summary({m: [o.f_measure for _, o in rows] for m, rows in by_method}),
         planned_counts=planned_counts,
     )
 

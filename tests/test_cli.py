@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -643,6 +644,17 @@ class TestUsage:
             and node.name.startswith("_") and node.name not in used
         ]
         assert not unused, f"private helpers nothing in src/ uses: {unused}"
+
+    def test_readme_examples_run(self, capsys):
+        from cpdp_ifs.experiment import parse_config
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (config,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        parsed = parse_config(json.loads(config))
+        assert [spec.name for spec in parsed.datasets] == ["ant", "eclipse"]
+        (library,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        exec(compile(library, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "0.6666666666666666 [0 0 1 1]\n"
 
     def test_console_script_help(self):
         result = subprocess.run(

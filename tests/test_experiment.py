@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -336,7 +338,7 @@ class TestSelectBestPerTarget:
             scored("cpdp_pure", "c", "t", 1, 2),
         ]
         best = best_per_target(outcomes)
-        assert best[("cpdp_pure", "t")].source_name == "b"
+        assert best[Method.CPDP_PURE]["t"].source_name == "b"
 
     def test_tie_goes_to_smaller_source_name(self):
         outcomes = [
@@ -344,7 +346,7 @@ class TestSelectBestPerTarget:
             scored("cpdp_pure", "alpha", "t", 7, 6),
         ]
         best = best_per_target(outcomes)
-        assert best[("cpdp_pure", "t")].source_name == "alpha"
+        assert best[Method.CPDP_PURE]["t"].source_name == "alpha"
 
     def test_methods_and_targets_kept_separate(self):
         outcomes = [
@@ -353,7 +355,29 @@ class TestSelectBestPerTarget:
             scored("cpdp_pure", "c", "t2", 9, 2),
         ]
         best = best_per_target(outcomes)
-        assert len(best) == 3
+        assert sum(len(targets) for targets in best.values()) == 3
+
+    def test_selection_does_not_depend_on_input_order(self):
+        # f = 0.5 from (1, 2) and from (2, 4), so every pick below is a tie on
+        # f-measure and goes to the smaller source name, except the 0.8 on t2.
+        outcomes = [
+            scored("cpdp_pure", "b", "t1", 1, 2),
+            scored("cpdp_pure", "a", "t1", 2, 4),
+            scored("ifs_our", "a", "t1", 1, 2),
+            scored("ifs_our", "c", "t2", 2, 4),
+            scored("ifs_our", "d", "t2", 2, 1),
+            scored("cpdp_pure", "c", "t2", 1, 2),
+        ]
+        expected = {
+            Method.CPDP_PURE: {"t1": "a", "t2": "c"},
+            Method.IFS_OUR: {"t1": "a", "t2": "d"},
+        }
+        for order in itertools.permutations(outcomes):
+            best = best_per_target(order)
+            picked = {m: {t: o.source_name for t, o in by_target.items()}
+                      for m, by_target in best.items()}
+            assert picked == expected, [(o.method.value, o.source_name, o.target_name)
+                                        for o in order]
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +480,41 @@ class TestRunPlan:
             "would save their models to the same file\n"
         )
         assert not (tmp_path / "r").exists()
+
+    @staticmethod
+    def run_written(projects, methods, out):
+        config = ExperimentConfig(
+            datasets=tuple(
+                DatasetSpec(name=p.name, path=f"{p.name}.csv", family=p.dataset_family)
+                for p in projects
+            ),
+            methods=methods,
+        )
+        bundle = run_plan(config, projects=projects)
+        bundle.write(out)
+        return bundle
+
+    def test_methods_without_common_targets_compare_nothing(self, tmp_path):
+        # One project per family: cpdp_pure has no pair, so no target to pair with ifs_min.
+        projects = [p for p in corpus_projects() if p.name.endswith("_p0")]
+        bundle = self.run_written(projects, (Method.CPDP_PURE, Method.IFS_MIN), tmp_path)
+        assert bundle.planned_counts == {"cpdp_pure": 0, "ifs_min": 6}
+        assert (tmp_path / "comparisons.csv").read_text().splitlines()[1:] == [
+            "cpdp_pure,ifs_min,0,,,,no common targets"
+        ]
+        assert (tmp_path / "dpr_analysis.csv").read_text().count("\n") == 1
+        assert [row.split(",")[0] for row in
+                (tmp_path / "boxplot_summary.csv").read_text().splitlines()[1:]] == ["ifs_min"]
+
+    def test_without_mix_every_dpr_row_says_so(self, tmp_path):
+        bundle = self.run_written(corpus_projects(), (Method.CPDP_PURE, Method.IFS_OUR), tmp_path)
+        with open(tmp_path / "dpr_analysis.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["target"] for row in rows] == sorted(p.name for p in corpus_projects())
+        for row in rows:
+            assert row["note"].endswith("mix not run for this target")
+            assert row["f_mix"] == "" and row["improvement"] == ""
+        assert Method.MIX.value not in bundle.planned_counts
 
     def test_workers_do_not_change_results(self, corpus_bundle):
         tmp_path, config, bundle = corpus_bundle
