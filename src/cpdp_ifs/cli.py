@@ -12,15 +12,15 @@ setting is a config key. Exit codes: 0 success, 1 config/usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import gc
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from cpdp_ifs.corpus import DataFormatError, summarize
+from cpdp_ifs.corpus import DataFormatError, read_table, summarize
 from cpdp_ifs.experiment import (
     ConfigError,
     DataError,
@@ -86,51 +86,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_csv_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    """Header and data rows of a CSV table; a repeated column name or a
-    data row with more cells than the header is a data error."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            fieldnames = reader.fieldnames
-            rows = list(reader)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if fieldnames is None:
-        raise DataFormatError(f"empty file: {path}")
-    header = list(fieldnames)
+def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """:func:`read_table`, where a repeated column name, a header-only file
+    or a data row with more cells than the header is also a data error."""
+    header, rows = read_table(path)
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise DataFormatError(f"{path}: duplicate column names {repeated}")
     if not rows:
         raise DataFormatError(f"empty file (header only): {path}")
     for i, row in enumerate(rows, start=1):
-        if None in row:  # DictReader's key for the cells beyond the header
+        if len(row) > len(header):
             raise DataFormatError(
-                f"{path}: data row {i} has {len(header) + len(row[None])} cells, "
-                f"expected {len(header)}"
+                f"{path}: data row {i} has {len(row)} cells, expected {len(header)}"
             )
     return header, rows
 
 
 def _column(
-    header: list[str], rows: list[dict[str, str]], name: str, path: str, parse=float
+    header: list[str], rows: list[list[str]], name: str, path: str, parse=float
 ) -> list:
     """Column ``name`` of a ``_read_csv_rows`` table, each cell ``parse``d;
-    a missing column or an empty or unparsable cell is a data error."""
+    a missing column, or an empty, unparsable or non-finite cell, is a data error."""
     if name not in header:
         raise DataFormatError(f"{path}: column {name!r} not found")
+    idx = header.index(name)
     values = []
     for i, row in enumerate(rows, start=1):
-        cell = row.get(name)
-        if cell is None or cell == "":
+        cell = row[idx] if idx < len(row) else ""
+        if cell == "":
             raise DataFormatError(f"{path}: missing value in column {name!r} at data row {i}")
         try:
-            values.append(parse(cell))
+            value = parse(cell)
         except ValueError:
             raise DataFormatError(
                 f"{path}: non-numeric value {cell!r} in column {name!r} at data row {i}"
             ) from None
+        if parse is float and not math.isfinite(value):
+            raise DataFormatError(
+                f"{path}: non-finite value {cell!r} in column {name!r} at data row {i}"
+            )
+        values.append(value)
     return values
 
 
@@ -150,9 +146,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.out:
         config = dataclasses.replace(config, output_dir=args.out)
+    out_dir = Path(config.output_dir)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"output path {str(path)!r} exists and is not a directory")
 
     bundle = run_plan(config)
-    out_dir = Path(config.output_dir)
     bundle.write(out_dir)
 
     print(f"report written to {out_dir}")

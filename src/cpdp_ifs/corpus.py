@@ -150,12 +150,17 @@ def summarize(project: Project) -> DatasetSummary:
     )
 
 
-def _read_rows(path: Path) -> list[list[str]]:
+def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and data rows of a UTF-8 CSV file, BOM allowed, with
+    all-blank rows skipped; an empty or undecodable file is a data error."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+            rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"empty file: {path}")
+    return [h.strip() for h in rows[0]], rows[1:]
 
 
 def _parse_feature_cell(cell: str, row_no: int, column: str) -> float:
@@ -261,12 +266,8 @@ def load_csv(
     parse as a finite number (no imputation).
     """
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise DataFormatError(f"empty file: {path}")
-    header = [h.strip() for h in rows[0]]
+    header, data_rows = read_table(path)
     columns = _select_columns(header, schema_config, str(path))
-    data_rows = rows[1:]
     if not data_rows:
         raise DataFormatError(f"empty file (header only): {path}")
 

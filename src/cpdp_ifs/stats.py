@@ -54,10 +54,6 @@ class ConfusionMatrix:
         tn, fp, fn, tp = (int(count) for count in np.bincount(codes, minlength=4))
         return cls(tp=tp, fp=fp, tn=tn, fn=fn)
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def row_quantiles(rows: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
     """``np.quantile(rows, quantiles, axis=-1)`` with numpy's default linear

@@ -322,7 +322,8 @@ def test_criterion_7_end_to_end_smoke():
             apply_threshold(probabilities, outcome.model.params.decision_threshold),
             outcome.predicted,
         )
-        assert outcome.confusion.total == target.n_instances
+        cm = outcome.confusion
+        assert cm.tp + cm.fp + cm.tn + cm.fn == target.n_instances
         assert 0.0 <= outcome.f_measure <= 1.0
 
         ratio = float(np.mean(target.labels))

@@ -346,7 +346,7 @@ class TestCompare:
         assert main(["compare", "--csv", str(path)]) == EXIT_DATA
 
     def test_repeated_column_name_exits_2(self, tmp_path, capsys):
-        # csv.DictReader would read the last of the repeated columns.
+        # A lookup by name would read only one of the repeated columns.
         path = tmp_path / "scores.csv"
         path.write_text("a,b,b\n0.5,0.4,0.1\n0.6,0.3,0.2\n0.7,0.6,0.3\n", encoding="utf-8")
         assert main(["compare", "--csv", str(path), "--x-col", "a", "--y-col", "b"]) == EXIT_DATA
@@ -489,7 +489,7 @@ class TestBox:
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG
 
     def test_extra_cell_exits_2(self, tmp_path, capsys):
-        # csv.DictReader would drop the cells beyond the header.
+        # A lookup by column would ignore the cells beyond the header.
         path = tmp_path / "vals.csv"
         path.write_text("method,f_measure\nx,0.5\nx,0.5,0.9\n", encoding="utf-8")
         assert main(["box", "--csv", str(path)]) == EXIT_DATA
@@ -529,6 +529,44 @@ class TestBox:
             "c,1,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,\n"
             "d,2,-0.000000,0.000000,0.000000,0.000000,-0.000000,-0.000000,-0.000000,\n"
         )
+
+
+class TestScoreTables:
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("source", ["compare --csv", "box --csv", "compare --results"])
+    def test_non_finite_cell_exits_2_naming_file_column_and_row(
+        self, tmp_path, capsys, source, token
+    ):
+        if source == "compare --results":
+            path, column = tmp_path / "best_per_target.csv", "f_measure"
+            path.write_text(
+                f"method,target,source,f_measure\ncpdp_pure,t,s,0.5\nifs_our,t,s,{token}\n",
+                encoding="utf-8",
+            )
+            argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                    "--method-b", "ifs_our"]
+        else:
+            path, column = tmp_path / "scores.csv", "b"
+            path.write_text(f"a,b\n0.5,0.4\n0.6,{token}\n0.7,0.2\n", encoding="utf-8")
+            argv = (["compare", "--csv", str(path)] if source == "compare --csv"
+                    else ["box", "--csv", str(path), "--group-col", "a", "--value-col", "b"])
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: non-finite value {token!r} in column {column!r} at data row 2\n"
+        )
+
+    def test_compare_reads_a_data_file_as_ingest_does(self, tmp_path, capsys):
+        # A BOM, spaces around header cells and a whitespace-only row.
+        (tmp_path / "p.csv").write_text(
+            "\ufeffloc , cbo,bug\n10,3,0\n20,1,1\n  \n30,7,0\n40,2,1\n", encoding="utf-8"
+        )
+        config = {"datasets": [{"name": "p", "path": "p.csv", "family": "f"}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["ingest", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        assert "instances=4" in capsys.readouterr().out
+        argv = ["compare", "--csv", str(tmp_path / "p.csv"), "--x-col", "loc", "--y-col", "cbo"]
+        assert main(argv) == EXIT_OK
+        assert "n_pairs=4" in capsys.readouterr().out
 
 
 class TestUsage:
@@ -644,6 +682,22 @@ class TestUsage:
             and node.name.startswith("_") and node.name not in used
         ]
         assert not unused, f"private helpers nothing in src/ uses: {unused}"
+
+    def test_only_corpus_reads_csv(self):
+        # Every CSV table is read by corpus.read_table, so one file has one reading.
+        import ast
+
+        readers = {"reader", "DictReader"}
+        src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
+        users = {
+            path.name for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                and isinstance(node.value, ast.Name) and node.value.id == "csv")
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                and readers & {alias.name for alias in node.names})
+        }
+        assert users == {"corpus.py"}
 
     def test_readme_examples_run(self, capsys):
         from cpdp_ifs.experiment import parse_config

@@ -481,6 +481,26 @@ class TestRunPlan:
         )
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/r"])
+    def test_output_path_through_a_file_exits_1_before_any_pair_runs(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        rng = np.random.default_rng(52)
+        specs = []
+        for name in ("a", "b"):
+            write_project_csv(tmp_path / f"{name}.csv", planted_project(rng, name, "f", 3, 40))
+            specs.append({"name": name, "path": f"{name}.csv", "family": "f"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": specs, "methods": ["cpdp_pure"]}))
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        monkeypatch.setattr(predictors, "train", None)  # any pair that runs fails loudly
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output path {str(afile)!r} exists and is not a directory\n"
+        )
+        assert afile.read_text() == "keep\n"
+
     @staticmethod
     def run_written(projects, methods, out):
         config = ExperimentConfig(

@@ -57,7 +57,8 @@ class TestRunCpdpPure:
         assert outcome.source_name == "src"
         assert outcome.target_name == "tgt"
         assert outcome.predicted.shape == (target.n_instances,)
-        assert outcome.confusion.total == target.n_instances
+        cm = outcome.confusion
+        assert cm.tp + cm.fp + cm.tn + cm.fn == target.n_instances
         assert 0.0 <= outcome.f_measure <= 1.0
 
     def test_metrics_consistent_with_confusion(self, same_schema_pair):

@@ -44,7 +44,7 @@ class TestConfusionMatrix:
         predicted = np.array([1, 0, 0, 1, 1, 0])
         cm = ConfusionMatrix.from_predictions(actual, predicted)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 2, 1)
-        assert cm.total == 6
+        assert cm.tp + cm.fp + cm.tn + cm.fn == 6
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
