@@ -34,6 +34,8 @@ def main() -> int:
         "--top", type=int, default=len(INDICATOR_NAMES), help="how many indicators to print"
     )
     args = parser.parse_args()
+    if args.top < 1:
+        parser.error(f"--top must be at least 1, not {args.top}")
 
     try:
         config = dataclasses.replace(load_config(args.config), methods=(Method.IFS_OUR,))

@@ -144,7 +144,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.out:
+    if args.out == "":
+        raise ConfigError("--out must not be empty")
+    if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     out_dir = Path(config.output_dir)
     for path in (out_dir, *out_dir.parents):

@@ -1,7 +1,8 @@
 """Experiment harness: config loading, pair execution, reporting.
 
 A run enumerates every applicable source/target pair for the configured
-methods, executes them on a bounded thread pool sharing one ``RunMemo``,
+methods and runs each method's pairs as one task of a thread pool, over a
+``RunMemo`` of its own, so more than three workers never add a thread. It
 keeps the best source per target by f-measure, derives the fused
 predictions, and writes a deterministic report directory: identical config
 plus identical data yields byte-identical CSVs (rows sorted, floats fixed
@@ -40,6 +41,7 @@ from cpdp_ifs.corpus import DatasetSummary, FeatureSchema, Project, load_arff, l
 from cpdp_ifs.learner import LearnerParams, save_model
 from cpdp_ifs.predictors import (
     Method,
+    PairPlan,
     PredictionOutcome,
     RunMemo,
     enumerate_pairs,
@@ -111,13 +113,12 @@ class ExperimentConfig:
     base_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if not self.datasets:
-            raise ValueError("datasets must not be empty")
+        for required in ("datasets", "methods", "output_dir"):
+            if not getattr(self, required):
+                raise ValueError(f"{required} must not be empty")
         names = [spec.name for spec in self.datasets]
         if len(set(names)) != len(names):
             raise ValueError("dataset names must be unique")
-        if not self.methods:
-            raise ValueError("methods must not be empty")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods must be unique")
         missing = {Method.CPDP_PURE, Method.IFS_OUR} - set(self.methods)
@@ -400,6 +401,25 @@ class ReportBundle:
         write_report(self, Path(out_dir))
 
 
+def _run_pairs(
+    pairs: Sequence[PairPlan], projects: Mapping[str, Project], config: ExperimentConfig
+) -> tuple[list[PredictionOutcome], list[FailureRecord]]:
+    """One method's pairs in plan order, over a memo that no other method sees."""
+    outcomes: list[PredictionOutcome] = []
+    failures: list[FailureRecord] = []
+    memo = RunMemo()
+    for plan in pairs:
+        try:
+            outcomes.append(_RUNNERS[plan.method](
+                projects[plan.source_name], projects[plan.target_name],
+                config.preprocessing, config.learner, memo,
+            ))
+        except ValueError as exc:
+            error = FailureRecord(plan.method, plan.source_name, plan.target_name, str(exc))
+            failures.append(error)
+    return outcomes, failures
+
+
 def _execute_pairs(
     config: ExperimentConfig, projects: Mapping[str, Project]
 ) -> tuple[list[PredictionOutcome], list[FailureRecord], dict[str, int]]:
@@ -407,29 +427,14 @@ def _execute_pairs(
     plans = {m: enumerate_pairs(ordered, m) for m in config.methods if m is not Method.MIX}
     planned_counts = {method.value: len(pairs) for method, pairs in plans.items()}
 
-    outcomes: list[PredictionOutcome] = []
-    failures: list[FailureRecord] = []
-    memo = RunMemo()
-
     # Imported here so that no other command loads concurrent.futures and logging.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [
-            (plan, pool.submit(
-                _RUNNERS[plan.method], projects[plan.source_name], projects[plan.target_name],
-                config.preprocessing, config.learner, memo,
-            ))
-            for pairs in plans.values()
-            for plan in pairs
-        ]
-        for plan, future in futures:
-            try:
-                outcomes.append(future.result())
-            except ValueError as exc:
-                failures.append(
-                    FailureRecord(plan.method, plan.source_name, plan.target_name, str(exc))
-                )
+        tasks = [pool.submit(_run_pairs, pairs, projects, config) for pairs in plans.values()]
+        results = [task.result() for task in tasks]
+    outcomes = [outcome for done, _ in results for outcome in done]
+    failures = [failure for _, failed in results for failure in failed]
     return outcomes, failures, planned_counts
 
 

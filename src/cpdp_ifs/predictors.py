@@ -5,14 +5,14 @@
 ``ifs_min`` over the profiles: it lifts both projects into the 16-indicator
 profile space, where the schemas always match, so the raw schemas may differ
 arbitrarily. All three align the two projects with ``intersect_features``
-and train through one path. ``mix`` fuses the pure and profile predictions
-with a defective-if-either rule.
+and train through one path, where the pairs of one method share per-project
+stages through a ``RunMemo`` no other method sees. ``mix`` fuses the pure
+and profile predictions with a defective-if-either rule.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
@@ -57,25 +57,21 @@ class PredictionOutcome:
 
 
 class RunMemo:
-    """One run's stage results that depend on one project alone, each
-    computed once: later callers of a key wait for the first, also across
-    threads. A ``ValueError`` is kept and raised again for every caller, so
-    each pair still reports the first error of its own stages."""
+    """One method's stage results that depend on one project alone, each
+    computed once. A ``ValueError`` is kept and raised again for every later
+    caller, so each pair still reports the first error of its own stages.
+    No key is shared between methods, so a memo per method needs no lock."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._slots: dict[Hashable, tuple[threading.Lock, list]] = {}
+        self._results: dict[Hashable, tuple[Any, ValueError | None]] = {}
 
     def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        with self._lock:
-            lock, result = self._slots.setdefault(key, (threading.Lock(), []))
-        with lock:
-            if not result:
-                try:
-                    result[:] = [compute(), None]
-                except ValueError as exc:
-                    result[:] = [None, exc]
-        value, error = result
+        if key not in self._results:
+            try:
+                self._results[key] = (compute(), None)
+            except ValueError as exc:
+                self._results[key] = (None, exc)
+        value, error = self._results[key]
         if error is not None:
             raise error.with_traceback(None)
         return value
@@ -87,13 +83,14 @@ def _train_and_classify(
     target: Project,
     preprocessing: PreprocessConfig,
     params: LearnerParams,
-    memo: RunMemo,
+    memo: RunMemo | None,
 ) -> PredictionOutcome:
     # Both sides are aligned on the canonical names they share, in the
     # source's order. Each side is transformed against its own column
     # statistics, so no scaling leaks between them. A project's matrix over
     # the same columns is prepared once, whichever side of a pair it is on.
     columns, source_cols, target_cols = intersect_features(source, target)
+    memo = memo or RunMemo()
 
     def prepare(side: Project, cols: tuple[int, ...]) -> np.ndarray:
         # Every column in order is the matrix itself; a fancy index would copy it.
@@ -142,9 +139,7 @@ def run_cpdp_pure(
     _require_distinct(source, target)
     if set(source.schema.canonical_names()) != set(target.schema.canonical_names()):
         raise ValueError("feature sets differ; use an IFS method")
-    return _train_and_classify(
-        Method.CPDP_PURE, source, target, preprocessing, params, memo or RunMemo()
-    )
+    return _train_and_classify(Method.CPDP_PURE, source, target, preprocessing, params, memo)
 
 
 def run_ifs_min(
@@ -156,9 +151,7 @@ def run_ifs_min(
 ) -> PredictionOutcome:
     """Restrict both projects to their shared metrics, then train directly."""
     _require_distinct(source, target)
-    return _train_and_classify(
-        Method.IFS_MIN, source, target, preprocessing, params, memo or RunMemo()
-    )
+    return _train_and_classify(Method.IFS_MIN, source, target, preprocessing, params, memo)
 
 
 def run_ifs_our(

@@ -699,6 +699,22 @@ class TestUsage:
         }
         assert users == {"corpus.py"}
 
+    def test_no_module_imports_threading(self):
+        # Each method's pairs run on one pool task over a memo of their own, so
+        # no state in src/ is shared between threads and nothing takes a lock.
+        import ast
+
+        src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
+        users = {
+            path.name for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "threading" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "threading")
+        }
+        assert users == set()
+
     def test_readme_examples_run(self, capsys):
         from cpdp_ifs.experiment import parse_config
 
@@ -723,7 +739,7 @@ class TestUsage:
 
 class TestIndicatorWeights:
     @staticmethod
-    def run_script(tmp_path, projects):
+    def run_script(tmp_path, projects, *args):
         repo = Path(__file__).resolve().parents[1]
         specs = []
         for project in projects:
@@ -739,7 +755,7 @@ class TestIndicatorWeights:
         env = dict(os.environ, PYTHONPATH=str(repo / "src"))
         return subprocess.run(
             [sys.executable, str(repo / "scripts" / "indicator_weights.py"),
-             "--config", str(tmp_path / "config.json")],
+             "--config", str(tmp_path / "config.json"), *args],
             capture_output=True,
             text=True,
             env=env,
@@ -776,3 +792,12 @@ class TestIndicatorWeights:
         for line in lines[2:]:
             assert len(line.split()) == 2, line
             assert "nan" not in line
+
+    @pytest.mark.parametrize("top", ["0", "-14"])
+    def test_top_below_1_is_a_usage_error(self, tmp_path, top):
+        result = self.run_script(tmp_path, [], "--top", top)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            f"indicator_weights.py: error: --top must be at least 1, not {top}"
+        )

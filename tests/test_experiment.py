@@ -37,6 +37,7 @@ from cpdp_ifs.learner import load_model
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
+    RunMemo,
     enumerate_pairs,
     run_cpdp_pure,
     run_ifs_our,
@@ -128,7 +129,7 @@ class TestParseConfig:
         ("learner.max_iterations", 2.7), ("learner.max_iterations", True),
         ("learner.ridge", float("nan")), ("learner.tolerance", float("inf")),
         ("datasets.0.alias_map", 5), ("datasets.0.alias_map", "ab"),
-        ("datasets.0.feature_names", 5), ("methods", 5),
+        ("datasets.0.feature_names", 5), ("methods", 5), ("output_dir", ""),
     ])
     def test_invalid_scalars_rejected(self, key, value):
         # ``key`` is a dotted path into the payload; list indices are digits.
@@ -481,17 +482,23 @@ class TestRunPlan:
         )
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("out", ["afile", "afile/r"])
-    def test_output_path_through_a_file_exits_1_before_any_pair_runs(
-        self, tmp_path, capsys, monkeypatch, out
-    ):
+    @staticmethod
+    def two_project_config(tmp_path, **settings):
+        """A cpdp_pure config over two small projects, with ``settings`` as extra keys."""
         rng = np.random.default_rng(52)
         specs = []
         for name in ("a", "b"):
             write_project_csv(tmp_path / f"{name}.csv", planted_project(rng, name, "f", 3, 40))
             specs.append({"name": name, "path": f"{name}.csv", "family": "f"})
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"datasets": specs, "methods": ["cpdp_pure"]}))
+        config.write_text(json.dumps({"datasets": specs, "methods": ["cpdp_pure"], **settings}))
+        return config
+
+    @pytest.mark.parametrize("out", ["afile", "afile/r"])
+    def test_output_path_through_a_file_exits_1_before_any_pair_runs(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        config = self.two_project_config(tmp_path)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         monkeypatch.setattr(predictors, "train", None)  # any pair that runs fails loudly
@@ -500,6 +507,26 @@ class TestRunPlan:
             f"config error: output path {str(afile)!r} exists and is not a directory\n"
         )
         assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("output_dir,out,message", [
+        ("", [], "invalid config settings: output_dir must not be empty"),
+        ("report", ["--out", ""], "--out must not be empty"),
+    ], ids=["output_dir", "--out"])
+    def test_empty_output_path_exits_1_before_any_pair_runs(
+        self, tmp_path, capsys, monkeypatch, output_dir, out, message
+    ):
+        # An empty path is the working directory: a run would write its report
+        # there and delete every models/*.json it did not write.
+        config = self.two_project_config(tmp_path, output_dir=output_dir)
+        keep = tmp_path / "models" / "keep.json"
+        keep.parent.mkdir()
+        keep.write_text("{}\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(predictors, "train", None)  # any pair that runs fails loudly
+        assert cli_main(["run", "--config", str(config), *out]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert keep.read_text() == "{}\n"
+        assert not (tmp_path / "results.csv").exists()
 
     @staticmethod
     def run_written(projects, methods, out):
@@ -608,6 +635,33 @@ class TestStageReuse:
         assert len(trained) == len(expected)
         assert len(set(trained)) == len(trained)
         assert len(prepared) == len(sides)
+
+    def test_no_memo_key_reaches_two_memos(self, corpus_bundle, monkeypatch):
+        # The memo holds no lock: each method's pairs run on one pool task over
+        # a memo of their own, and no key is shared between methods.
+        _, config, _ = corpus_bundle
+        assert set(config.methods) == set(Method)
+        lock = threading.Lock()
+        seen: list[tuple[RunMemo, tuple]] = []  # holding each memo keeps its id unique
+        real_get = RunMemo.get
+
+        def recording_get(memo, key, compute):
+            with lock:
+                seen.append((memo, key))
+            return real_get(memo, key, compute)
+
+        monkeypatch.setattr(RunMemo, "get", recording_get)
+        assert run_plan(dataclasses.replace(config, workers=3)).failures == ()
+        memos_of_key: dict[tuple, set[int]] = {}
+        methods_of_memo: dict[int, set[Method]] = {}
+        for memo, key in seen:
+            memos_of_key.setdefault(key, set()).add(id(memo))
+            if key[0] in ("prepared", "model"):
+                methods_of_memo.setdefault(id(memo), set()).add(key[1])
+        assert [key for key, ids in memos_of_key.items() if len(ids) > 1] == []
+        assert sorted(map(sorted, methods_of_memo.values())) == [
+            [Method.CPDP_PURE], [Method.IFS_MIN], [Method.IFS_OUR]
+        ]
 
     def test_projects_built_per_load_and_profile_never_per_pair(self, corpus_bundle, monkeypatch):
         _, config, _ = corpus_bundle
