@@ -10,70 +10,37 @@ nonparametric comparison machinery (Wilcoxon signed-rank, Cliff's delta,
 defect-proportion-ratio analysis) used to evaluate them.
 """
 
-from cpdp_ifs.corpus import (
-    DatasetSummary,
-    FeatureSchema,
-    Project,
-    intersect_features,
-    load_arff,
-    load_csv,
-    summarize,
-)
-from cpdp_ifs.learner import LearnerParams, Model, apply_threshold, predict_proba, train
-from cpdp_ifs.predictors import (
-    Method,
-    PredictionOutcome,
-    enumerate_pairs,
-    run_cpdp_pure,
-    run_ifs_min,
-    run_ifs_our,
-    run_mix,
-)
-from cpdp_ifs.preprocess import PreprocessConfig, log_filter, zscore
-from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_instance, characterize_project
-from cpdp_ifs.stats import (
-    ComparisonResult,
-    ConfusionMatrix,
-    cliffs_delta,
-    dpr,
-    pearson,
-    prf,
-    wilcoxon_signed_rank,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonResult",
-    "ConfusionMatrix",
-    "DatasetSummary",
-    "FeatureSchema",
-    "INDICATOR_NAMES",
-    "LearnerParams",
-    "Method",
-    "Model",
-    "PredictionOutcome",
-    "PreprocessConfig",
-    "Project",
-    "apply_threshold",
-    "characterize_instance",
-    "characterize_project",
-    "cliffs_delta",
-    "dpr",
-    "enumerate_pairs",
-    "intersect_features",
-    "load_arff",
-    "load_csv",
-    "log_filter",
-    "pearson",
-    "predict_proba",
-    "prf",
-    "run_cpdp_pure",
-    "run_ifs_min",
-    "run_ifs_our",
-    "run_mix",
-    "summarize",
-    "train",
-    "wilcoxon_signed_rank",
-    "zscore",
-]
+# Each exported name and its module. A name is imported on first use
+# (PEP 562), so importing the package, or only its numpy-free modules,
+# loads no numpy.
+_EXPORTS = {
+    "config": ("LearnerParams", "Method", "PreprocessConfig"),
+    "corpus": (
+        "DatasetSummary", "FeatureSchema", "Project", "intersect_features", "load_arff",
+        "load_csv", "summarize",
+    ),
+    "learner": ("Model", "apply_threshold", "predict_proba", "train"),
+    "predictors": (
+        "PredictionOutcome", "enumerate_pairs", "run_cpdp_pure", "run_ifs_min", "run_ifs_our",
+        "run_mix",
+    ),
+    "preprocess": ("log_filter", "zscore"),
+    "profiles": ("INDICATOR_NAMES", "characterize_instance", "characterize_project"),
+    "stats": (
+        "ComparisonResult", "ConfusionMatrix", "cliffs_delta", "dpr", "pearson", "prf",
+        "wilcoxon_signed_rank",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

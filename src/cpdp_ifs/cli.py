@@ -7,6 +7,9 @@ proneness ratio of a source/target pair, and ``box`` prints boxplot
 summaries. ``run`` takes only ``--config`` and ``--out``; every other run
 setting is a config key. Exit codes: 0 success, 1 config/usage error,
 2 data error, 3 run finished with partial failures.
+
+Each command imports the modules it needs when it runs, so ``ingest`` loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -18,21 +21,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from cpdp_ifs.corpus import DataFormatError, read_table, summarize
-from cpdp_ifs.experiment import (
-    ConfigError,
-    DataError,
-    DPR_IMPROVEMENT_THRESHOLD,
-    BoxplotSummary,
-    emit_boxplot_summary,
-    load_config,
-    load_projects,
-    run_plan,
-    write_table,
-)
-from cpdp_ifs.stats import compare_paired, dpr
+from cpdp_ifs.config import ConfigError, DataError, ExperimentConfig, load_config, load_datasets
+from cpdp_ifs.corpus import DataFormatError, parse_arff, parse_csv, read_table, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,14 +122,22 @@ def _column(
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    projects = load_projects(config)
-    for project in projects:
-        s = summarize(project)
+    # summarize()'s counts, from the parsed cells: building a Project loads numpy.
+    for name, family, schema, _, labels in load_datasets(config, parse_csv, parse_arff):
+        m, defects = len(labels), sum(labels)
         print(
-            f"{project.name}: family={project.dataset_family} instances={s.instance_count} "
-            f"defects={s.defect_count} defect_ratio={s.defect_ratio:.3f} metrics={s.metric_count}"
+            f"{name}: family={family} instances={m} defects={defects} "
+            f"defect_ratio={defects / m:.3f} metrics={len(schema.feature_names)}"
         )
     return EXIT_OK
+
+
+def run_plan(config: ExperimentConfig):
+    """:func:`cpdp_ifs.experiment.run_plan`, imported when first called, so
+    that only ``run`` loads numpy and the modules that need it."""
+    from cpdp_ifs.experiment import run_plan as run_experiment
+
+    return run_experiment(config)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -169,17 +167,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compare_from_csv(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float]]:
     header, rows = _read_csv_rows(args.csv)
     x_col = args.x_col or header[0]
     y_col = args.y_col or (header[1] if len(header) > 1 else None)
     if y_col is None:
         raise DataFormatError(f"{args.csv}: need two columns for a paired comparison")
-    x, y = (np.array(_column(header, rows, col, args.csv)) for col in (x_col, y_col))
-    return x, y
+    return _column(header, rows, x_col, args.csv), _column(header, rows, y_col, args.csv)
 
 
-def _compare_from_results(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[float]]:
     if not (args.method_a and args.method_b):
         raise ConfigError("--results needs --method-a and --method-b")
     path = str(Path(args.results) / "best_per_target.csv")
@@ -199,12 +196,12 @@ def _compare_from_results(args: argparse.Namespace) -> tuple[np.ndarray, np.ndar
     common = sorted(set(scores[args.method_a]) & set(scores[args.method_b]))
     if not common:
         raise DataError(f"{path}: no common targets for the two methods")
-    x = np.array([scores[args.method_a][t] for t in common])
-    y = np.array([scores[args.method_b][t] for t in common])
-    return x, y
+    return [scores[args.method_a][t] for t in common], [scores[args.method_b][t] for t in common]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from cpdp_ifs.stats import compare_paired
+
     if bool(args.csv) == bool(args.results):
         raise ConfigError("compare needs exactly one of --csv or --results")
     if args.csv:
@@ -221,11 +218,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_dpr(args: argparse.Namespace) -> int:
+    from cpdp_ifs.experiment import DPR_IMPROVEMENT_THRESHOLD, load_projects
+    from cpdp_ifs.stats import dpr
+
     config = load_config(args.config)
     names = {spec.name for spec in config.datasets}
     for name in (args.source, args.target):
         if name not in names:
             raise ConfigError(f"data set {name!r} is not in the config")
+    if args.source == args.target:
+        raise ConfigError(
+            f"source and target must be distinct data sets, not {args.source!r} twice"
+        )
     wanted = dataclasses.replace(
         config,
         datasets=tuple(d for d in config.datasets if d.name in (args.source, args.target)),
@@ -239,6 +243,8 @@ def _cmd_dpr(args: argparse.Namespace) -> int:
 
 
 def _cmd_box(args: argparse.Namespace) -> int:
+    from cpdp_ifs.experiment import BoxplotSummary, emit_boxplot_summary, write_table
+
     if bool(args.csv) == bool(args.results):
         raise ConfigError("box needs exactly one of --csv or --results")
     if args.results:

@@ -4,6 +4,10 @@ Supports the two formats the public defect corpora ship in: plain CSV with a
 header row, and a dense subset of the attribute-relation (ARFF) format.
 Metric names are canonicalized (alias map, then lowercase) so that projects
 collected by different groups can be compared by feature identity.
+
+``parse_csv`` and ``parse_arff`` check every cell in pure Python and give a
+project's parts unbuilt; ``load_csv`` and ``load_arff`` build those into a
+``Project``. Only building one imports numpy, so ``ingest`` never does.
 """
 
 from __future__ import annotations
@@ -11,12 +15,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DataFormatError(ValueError):
@@ -97,6 +103,8 @@ class Project:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         matrix = np.array(self.matrix, dtype=float)
         labels = np.array(self.labels, dtype=np.int8)
         if matrix.ndim != 2:
@@ -141,7 +149,7 @@ class DatasetSummary:
 def summarize(project: Project) -> DatasetSummary:
     """Instance/defect counts and the defect ratio of a project."""
     m = project.n_instances
-    defects = int(np.sum(project.labels))
+    defects = int(project.labels.sum())
     return DatasetSummary(
         instance_count=m,
         defect_count=defects,
@@ -215,52 +223,66 @@ def _label_at(path: Path, cell: str, row_no: int) -> int:
 
 _RowFault = Callable[[list[str], int], str | None]
 _LabelOf = Callable[[str, int], int]
+ProjectParts = tuple[str, str, FeatureSchema, Sequence[float], list[int]]
 
 
-def _project_from_cells(
+def _parse_rows(
     header: list[str], rows: list[list[str]], columns: tuple[list[int], int, list[str]],
     schema_config: FeatureSchema, name: str, family: str,
     row_fault: _RowFault, label_of: _LabelOf,
-) -> Project:
-    """A Project from a file's data rows of cells, the same for every format.
+) -> ProjectParts:
+    """A file's data rows of cells as a project's parts, the same for every format.
 
     ``row_fault`` gives a row's format fault, if any; ``label_of`` turns a
     label cell into 0/1 or raises. Cells are parsed in bulk; on any fault the
     per-row loop runs instead and alone raises, for the first in row order.
     """
     feature_idx, label_idx, feature_names = columns
-    m, k = len(rows), len(feature_idx)
-    matrix = None
+    k = len(feature_idx)
+    parsed = False
     if k and not any(map(row_fault, rows, itertools.count(1))):
         pick = itemgetter(*feature_idx)
         cells = map(pick, rows) if k == 1 else itertools.chain.from_iterable(map(pick, rows))
-        label_cells = map(itemgetter(label_idx), rows)
         try:
-            matrix = np.fromiter(map(float, cells), float, m * k).reshape(m, k)
-            labels = np.fromiter(map(label_of, label_cells, itertools.count(1)), np.int8, m)
+            # An array of doubles holds no float objects, which would stay in
+            # the allocator's arenas and raise the run's peak memory.
+            values = array("d", map(float, cells))
+            labels = list(map(label_of, map(itemgetter(label_idx), rows), itertools.count(1)))
+            # A sum is finite only if every value is; a sum of finite values
+            # that overflows takes the per-row loop, which finds no fault.
+            parsed = math.isfinite(sum(values))
         except ValueError:
-            matrix = None
-    if matrix is None or not np.isfinite(matrix).all():
-        matrix, labels = np.empty((m, k)), np.empty(m, np.int8)
-        for r, row in enumerate(rows):
-            fault = row_fault(row, r + 1)
+            pass
+    if not parsed:
+        values, labels = array("d"), []
+        for row_no, row in enumerate(rows, start=1):
+            fault = row_fault(row, row_no)
             if fault is not None:
                 raise DataFormatError(fault)
-            for c, idx in enumerate(feature_idx):
-                matrix[r, c] = _parse_feature_cell(row[idx], r + 1, header[idx])
-            labels[r] = label_of(row[label_idx], r + 1)
-    schema = replace(schema_config, feature_names=tuple(feature_names))
-    return Project(name, family, schema, matrix, labels)
+            values.extend(_parse_feature_cell(row[idx], row_no, header[idx]) for idx in feature_idx)
+            labels.append(label_of(row[label_idx], row_no))
+    if not k:
+        raise DataFormatError("a project needs at least one instance and one feature")
+    return name, family, replace(schema_config, feature_names=tuple(feature_names)), values, labels
 
 
-def load_csv(
+def _project(parts: ProjectParts) -> Project:
+    import numpy as np
+
+    name, family, schema, values, labels = parts
+    matrix = np.frombuffer(values).reshape(len(labels), len(schema.feature_names))
+    return Project(name, family, schema, matrix, np.array(labels, dtype=np.int8))
+
+
+def parse_csv(
     path: str | Path,
     schema_config: FeatureSchema,
     *,
     name: str | None = None,
     family: str = "default",
-) -> Project:
-    """Load a header-first CSV file into a Project.
+) -> ProjectParts:
+    """A header-first CSV file as a project's parts: its name, family and
+    schema, its feature values row by row as one array, and its labels.
 
     Labels are binarized with :func:`binarize_label`; every feature cell must
     parse as a finite number (no imputation).
@@ -276,10 +298,21 @@ def load_csv(
             return f"{path}: data row {row_no} has {len(row)} cells, expected {len(header)}"
         return None
 
-    return _project_from_cells(
+    return _parse_rows(
         header, data_rows, columns, schema_config, name or path.stem, family,
         row_fault, lambda cell, row_no: _label_at(path, cell, row_no),
     )
+
+
+def load_csv(
+    path: str | Path,
+    schema_config: FeatureSchema,
+    *,
+    name: str | None = None,
+    family: str = "default",
+) -> Project:
+    """Load a header-first CSV file into a Project, as :func:`parse_csv` reads it."""
+    return _project(parse_csv(path, schema_config, name=name, family=family))
 
 
 def _parse_attribute_line(line: str, path: Path) -> tuple[str, str, tuple[str, ...]]:
@@ -316,14 +349,15 @@ def _parse_attribute_line(line: str, path: Path) -> tuple[str, str, tuple[str, .
     )
 
 
-def load_arff(
+def parse_arff(
     path: str | Path,
     schema_config: FeatureSchema,
     *,
     name: str | None = None,
     family: str = "default",
-) -> Project:
-    """Load a dense ARFF file (numeric attributes, nominal class) into a Project."""
+) -> ProjectParts:
+    """A dense ARFF file (numeric attributes, nominal class) as a project's
+    parts, in :func:`parse_csv`'s form."""
     path = Path(path)
     attributes: list[tuple[str, str, tuple[str, ...]]] = []
     data_lines: list[str] = []
@@ -391,9 +425,20 @@ def load_arff(
         return _label_at(path, cell, row_no)
 
     rows = [list(map(str.strip, line.split(","))) for line in data_lines]
-    return _project_from_cells(
+    return _parse_rows(
         header, rows, columns, schema_config, name or path.stem, family, row_fault, label_of
     )
+
+
+def load_arff(
+    path: str | Path,
+    schema_config: FeatureSchema,
+    *,
+    name: str | None = None,
+    family: str = "default",
+) -> Project:
+    """Load a dense ARFF file into a Project, as :func:`parse_arff` reads it."""
+    return _project(parse_arff(path, schema_config, name=name, family=family))
 
 
 def intersect_features(

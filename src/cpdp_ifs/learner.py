@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from cpdp_ifs.config import LearnerParams
+
 _GRADIENT_FLOOR = 1e-10
 _MAX_HALVINGS = 60
 _PROB_FLOOR = 1e-12
@@ -23,26 +25,6 @@ _PROB_FLOOR = 1e-12
 
 class DegenerateTrainingError(ValueError):
     """Training data admits no two-class fit (e.g. one class only)."""
-
-
-@dataclass(frozen=True)
-class LearnerParams:
-    """Ridge, stopping rule and decision threshold of the logistic learner."""
-
-    ridge: float = 1e-8
-    max_iterations: int = 200
-    tolerance: float = 1e-8
-    decision_threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ridge < math.inf:
-            raise ValueError("ridge must be finite and non-negative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
-        if not 0.0 < self.decision_threshold < 1.0:
-            raise ValueError("decision_threshold must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -260,20 +242,3 @@ def save_model(model: Model, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path: str | Path) -> Model:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return Model(
-        weights=np.array(payload["weights"], dtype=float),
-        intercept=float(payload["intercept"]),
-        feature_names=tuple(payload["feature_names"]),
-        params=LearnerParams(**payload["params"]),
-        meta=TrainingMeta(
-            iterations=payload["meta"]["iterations"],
-            final_log_likelihood=payload["meta"]["final_log_likelihood"],
-            converged=payload["meta"]["converged"],
-            objective_history=tuple(payload["meta"]["objective_history"]),
-        ),
-    )

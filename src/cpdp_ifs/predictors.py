@@ -12,24 +12,17 @@ and profile predictions with a defective-if-either rule.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
+from cpdp_ifs.config import LearnerParams, Method, PreprocessConfig
 from cpdp_ifs.corpus import Project, intersect_features
-from cpdp_ifs.learner import LearnerParams, Model, apply_threshold, predict_proba, train
-from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
+from cpdp_ifs.learner import Model, apply_threshold, predict_proba, train
+from cpdp_ifs.preprocess import preprocess_matrix
 from cpdp_ifs.profiles import characterize_project
 from cpdp_ifs.stats import ConfusionMatrix, prf
-
-
-class Method(str, enum.Enum):
-    CPDP_PURE = "cpdp_pure"
-    IFS_OUR = "ifs_our"
-    IFS_MIN = "ifs_min"
-    MIX = "mix"
 
 
 @dataclass(frozen=True)

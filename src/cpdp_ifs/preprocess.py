@@ -6,21 +6,9 @@ another project's, so source and target stay independently scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Which preprocessing steps to apply before training or profiling.
-
-    ``normalize`` exists so single-instance inputs (which cannot be z-scored)
-    can still be profiled.
-    """
-
-    log_filter: bool = False
-    normalize: bool = True
+from cpdp_ifs.config import PreprocessConfig
 
 
 def log_filter(matrix: np.ndarray) -> np.ndarray:

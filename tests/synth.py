@@ -1,4 +1,5 @@
-"""Synthetic project generators shared by the test modules."""
+"""Synthetic project generators, and the reader of saved models, shared by
+the test modules."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
+from cpdp_ifs.learner import LearnerParams, Model, TrainingMeta
 from make_demo_corpus import planted_matrix
 
 
@@ -102,3 +104,21 @@ def write_corpus(tmp_path: Path, seed: int = 42, arff_for: str = "fam_b_p0") -> 
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return config_path
+
+
+def load_model(path: str | Path) -> Model:
+    """The model that ``learner.save_model`` wrote to ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    return Model(
+        weights=np.array(payload["weights"], dtype=float),
+        intercept=float(payload["intercept"]),
+        feature_names=tuple(payload["feature_names"]),
+        params=LearnerParams(**payload["params"]),
+        meta=TrainingMeta(
+            iterations=payload["meta"]["iterations"],
+            final_log_likelihood=payload["meta"]["final_log_likelihood"],
+            converged=payload["meta"]["converged"],
+            objective_history=tuple(payload["meta"]["objective_history"]),
+        ),
+    )

@@ -45,6 +45,19 @@ class TestIngest:
         assert lines[0].startswith("fam_a_p0: family=fam_a instances=110")
         assert "defect_ratio=" in lines[0]
 
+    def test_config_with_a_bom_is_read(self, corpus_dir, tmp_path, capsys):
+        config = json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))
+        for dataset in config["datasets"]:
+            dataset["path"] = str(corpus_dir / dataset["path"])
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(config), encoding="utf-8")
+        bom.write_text(json.dumps(config), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["ingest", "--config", str(plain)]) == EXIT_OK
+        want = capsys.readouterr()
+        assert main(["ingest", "--config", str(bom)]) == EXIT_OK
+        assert capsys.readouterr() == want
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["ingest", "--config", str(tmp_path / "absent.json")])
         assert code == EXIT_CONFIG
@@ -77,6 +90,7 @@ class TestIngest:
         [
             ("p.csv", "a,b,bug\r\n1,2,0\r\n3,inf,1\r\n", "non-finite feature cell at data row 2"),
             ("p.csv", "\ufeffa,bug\n1,0\n2,1,\n", "data row 2 has 3 cells, expected 2"),
+            ("p.csv", "bug\n0\n1\n", "a project needs at least one instance and one feature"),
             (
                 "p.arff",
                 "@relation r\n@attribute a numeric\n@attribute bug {0,1}\n@data\n1,0\n{0 1}\n",
@@ -427,6 +441,17 @@ class TestDpr:
         assert code == EXIT_CONFIG
         assert "not in the config" in capsys.readouterr().err
 
+    def test_same_source_and_target_exits_1_before_loading(self, tmp_path, capsys):
+        # The data files do not exist, so loading either would exit 2.
+        config = {"datasets": [{"name": "s", "path": "s.csv"}, {"name": "t", "path": "t.csv"}]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code = main(["dpr", "--config", str(tmp_path / "config.json"), "--source", "s",
+                     "--target", "s"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: source and target must be distinct data sets, not 's' twice\n"
+        )
+
     def test_zero_defect_target_exits_2(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("a,bug\n1,1\n2,0\n3,1\n", encoding="utf-8")
         (tmp_path / "t.csv").write_text("a,bug\n1,0\n2,0\n3,0\n", encoding="utf-8")
@@ -647,6 +672,27 @@ class TestUsage:
         assert result.returncode == 0, result.stderr
         assert result.stdout
 
+    # Run with ingest's arguments: importing the CLI loads no numpy, and after
+    # ingest exits 0 neither numpy nor any package module beyond cli, config
+    # and corpus is loaded.
+    NO_NUMPY_CHECK = (
+        "import sys, cpdp_ifs.cli\n"
+        "assert 'numpy' not in sys.modules, 'import cpdp_ifs.cli loaded numpy'\n"
+        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
+        "allowed = {'cpdp_ifs', 'cpdp_ifs.cli', 'cpdp_ifs.config', 'cpdp_ifs.corpus'}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'cpdp_ifs')\n"
+        "                and m not in allowed)\n"
+        "assert status == 0 and not loaded, (status, loaded)\n"
+    )
+
+    def test_ingest_loads_no_numpy(self, corpus_dir):
+        argv = ["ingest", "--config", str(corpus_dir / "config.json")]
+        result = subprocess.run(
+            [sys.executable, "-c", self.NO_NUMPY_CHECK, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 8
+
     def test_every_dataclass_has_its_own_docstring(self):
         # Without one, dataclass builds a docstring from inspect.signature at import.
         import importlib
@@ -665,7 +711,8 @@ class TestUsage:
         assert len(found) == 21
 
     def test_every_private_helper_is_used_in_src(self):
-        # A private function or class that only tests reach is dead code.
+        # A private function or class that only tests reach is dead code. A
+        # dunder such as the package's __getattr__ is called by the interpreter.
         import ast
 
         src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
@@ -679,7 +726,8 @@ class TestUsage:
         unused = [
             f"{file}: {node.name}" for file, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and node.name not in used
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in used
         ]
         assert not unused, f"private helpers nothing in src/ uses: {unused}"
 

@@ -331,10 +331,14 @@ BAD_CELLS = st.sampled_from(["?", "nan", "NaN", "inf", "-Infinity", "1e999", "ab
 GOOD_LABELS = st.sampled_from(["clean", "buggy", "'buggy'", " buggy"])
 CSV_LABELS = st.one_of(GOOD_LABELS, st.sampled_from(["0", "1", "3", "true", "no"]))
 BAD_LABELS = st.sampled_from(["maybe", "nan", "?", "", "true"])
+# Cells with '#' or '_', which float() reads or refuses by its own rules, and
+# rows whose cells are all blank.
+MARKED_CELLS = st.one_of(GOOD_CELLS, st.sampled_from(["1_0", "_1", "1__0", "2#x", "#", "#1"]))
+BLANK_ROWS = st.sampled_from(["", "  ", " , ", ",,", "\t"])
 
 
 @st.composite
-def cell_tables(draw, good_labels):
+def cell_tables(draw, good_labels, good_cells=GOOD_CELLS):
     """(header, data rows, schema): a label column among 1-4 features and
     1-6 rows, with up to two faults: a bad feature cell, a bad label, a '?'
     in any column, or a row one cell short or long. The schema selects every
@@ -344,7 +348,7 @@ def cell_tables(draw, good_labels):
     header = [f"m{i}" for i in range(n)]
     header.insert(label_at, "bug")
     rows = [
-        [draw(good_labels if j == label_at else GOOD_CELLS) for j in range(n + 1)]
+        [draw(good_labels if j == label_at else good_cells) for j in range(n + 1)]
         for _ in range(m)
     ]
     kinds = ["cell", "label", "missing", "long", "short"]
@@ -381,12 +385,19 @@ def _loaded(loader, path, schema):
     return project.matrix.tobytes(), project.labels.tobytes(), project.schema.feature_names
 
 
-def _ingest_exit_code(path, schema):
+def _ingest(path, schema):
+    """``ingest``'s exit code, stdout and stderr on a config of the one file."""
     dataset = {"name": "p", "path": path.name, "feature_names": list(schema.feature_names)}
     config = path.parent / "config.json"
     config.write_text(json.dumps({"datasets": [dataset]}), "utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["ingest", "--config", str(config)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["ingest", "--config", str(config)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _ingest_exit_code(path, schema):
+    return _ingest(path, schema)[0]
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +443,52 @@ class TestLoaderFuzz:
         text = ("\r\n" if crlf else "\n").join(lines) + "\n"
         path = fuzz_dir / "fuzz.arff"
         path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        self.check(load_arff, reference_load_arff, path, schema)
+
+
+class TestIngestParsesAsLoaders:
+    """``ingest`` reads a data file with the loaders' own parser: it prints
+    ``summarize(load_*(...))``, or fails with the loader's message."""
+
+    @staticmethod
+    def check(loader, reference, path, schema):
+        TestLoaderFuzz.check(loader, reference, path, schema)
+        try:
+            s = summarize(loader(path, schema, name="p"))
+            line = (f"p: family=default instances={s.instance_count} defects={s.defect_count} "
+                    f"defect_ratio={s.defect_ratio:.3f} metrics={s.metric_count}\n")
+            want = (EXIT_OK, line, "")
+        except DataFormatError as exc:
+            want = (EXIT_DATA, "", f"data error: dataset 'p': {exc}\n")
+        assert _ingest(path, schema) == want
+
+    @given(
+        cell_tables(CSV_LABELS, MARKED_CELLS),
+        st.lists(st.tuples(st.integers(0, 7), BLANK_ROWS), max_size=2),
+        st.booleans(),
+    )
+    def test_csv(self, fuzz_dir, table, blanks, bom):
+        header, rows, schema = table
+        lines = [",".join(header), *(",".join(row) for row in rows)]
+        for at, blank in blanks:
+            lines.insert(at, blank)
+        path = fuzz_dir / "marked.csv"
+        path.write_text(("\ufeff" if bom else "") + "\n".join(lines) + "\n", encoding="utf-8")
+        self.check(load_csv, reference_load_csv, path, schema)
+
+    @given(
+        cell_tables(GOOD_LABELS, MARKED_CELLS),
+        st.lists(st.tuples(st.integers(0, 6), BLANK_ROWS), max_size=2),
+    )
+    def test_arff(self, fuzz_dir, table, blanks):
+        header, rows, schema = table
+        lines = [",".join(row) for row in rows]
+        for at, blank in blanks:
+            lines.insert(at, blank)
+        kinds = {"bug": "{clean,buggy}"}
+        declared = [f"@attribute {h} {kinds.get(h, 'numeric')}" for h in header]
+        path = fuzz_dir / "marked.arff"
+        path.write_text("\n".join(["@relation r", *declared, "@data", *lines]) + "\n", "utf-8")
         self.check(load_arff, reference_load_arff, path, schema)
 
 

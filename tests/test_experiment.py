@@ -33,7 +33,6 @@ from cpdp_ifs.experiment import (
 from cpdp_ifs import predictors
 from cpdp_ifs.cli import main as cli_main
 from cpdp_ifs.corpus import Project, intersect_features, summarize
-from cpdp_ifs.learner import load_model
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
@@ -48,7 +47,7 @@ from cpdp_ifs.stats import ConfusionMatrix
 
 from checks import report_digest
 from oracles import reference_best_sources
-from synth import corpus_projects, planted_project, write_corpus, write_project_csv
+from synth import corpus_projects, load_model, planted_project, write_corpus, write_project_csv
 
 
 def minimal_payload(**overrides):
@@ -255,9 +254,9 @@ class TestConfigHash:
         code = (
             "import hashlib, json, sys\n"
             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-            "from cpdp_ifs import experiment\n"
-            "assert experiment.sha256 is hashlib.sha256\n"
-            "print(experiment.config_hash(experiment.parse_config(json.loads(sys.argv[1]))))\n"
+            "from cpdp_ifs import config\n"
+            "assert config.sha256 is hashlib.sha256\n"
+            "print(config.config_hash(config.parse_config(json.loads(sys.argv[1]))))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code, json.dumps(self.PINNED_PAYLOAD)],

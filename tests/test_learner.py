@@ -19,13 +19,13 @@ from cpdp_ifs.learner import (
     _objective_at,
     apply_threshold,
     coefficient_magnitudes,
-    load_model,
     predict_proba,
     save_model,
     train,
 )
 
 from oracles import _reference_mask, grid_logistic_oracle, reference_newton_fit
+from synth import load_model
 
 
 def objective(w, design, y, ridge):
