@@ -49,7 +49,7 @@ def main() -> int:
         return 1
     for failure in bundle.failures:
         print(
-            f"skipped {failure.source_name}->{failure.target_name}: {failure.error}",
+            f"skipped {failure.source}->{failure.target}: {failure.error}",
             file=sys.stderr,
         )
 

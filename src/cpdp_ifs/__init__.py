@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("LearnerParams", "Method", "PreprocessConfig"),
     "corpus": (
-        "DatasetSummary", "FeatureSchema", "Project", "intersect_features", "load_arff",
+        "DatasetSummary", "FeatureSchema", "Project", "dpr", "intersect_features", "load_arff",
         "load_csv", "summarize",
     ),
     "learner": ("Model", "apply_threshold", "predict_proba", "train"),
@@ -31,7 +31,7 @@ _EXPORTS = {
     "preprocess": ("log_filter", "zscore"),
     "profiles": ("INDICATOR_NAMES", "characterize_instance", "characterize_project"),
     "stats": (
-        "ComparisonResult", "ConfusionMatrix", "cliffs_delta", "dpr", "pearson", "prf",
+        "ComparisonResult", "ConfusionMatrix", "cliffs_delta", "pearson", "prf",
         "wilcoxon_signed_rank",
     ),
 }

@@ -8,8 +8,8 @@ summaries. ``run`` takes only ``--config`` and ``--out``; every other run
 setting is a config key. Exit codes: 0 success, 1 config/usage error,
 2 data error, 3 run finished with partial failures.
 
-Each command imports the modules it needs when it runs, so ``ingest`` loads
-no numpy.
+Each command imports the modules it needs when it runs, so neither ``ingest``
+nor ``dpr`` loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import sys
 from pathlib import Path
 
 from cpdp_ifs.config import ConfigError, DataError, ExperimentConfig, load_config, load_datasets
-from cpdp_ifs.corpus import DataFormatError, parse_arff, parse_csv, read_table, summarize
+from cpdp_ifs.corpus import (
+    DPR_IMPROVEMENT_THRESHOLD, DataFormatError, dpr, parse_arff, parse_csv, read_table, summarize,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -122,12 +124,12 @@ def _column(
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    # summarize()'s counts, from the parsed cells: building a Project loads numpy.
+    # From the parsed cells: building a Project would load numpy.
     for name, family, schema, _, labels in load_datasets(config, parse_csv, parse_arff):
-        m, defects = len(labels), sum(labels)
+        s = summarize(labels, len(schema.feature_names))
         print(
-            f"{name}: family={family} instances={m} defects={defects} "
-            f"defect_ratio={defects / m:.3f} metrics={len(schema.feature_names)}"
+            f"{name}: family={family} instances={s.instance_count} defects={s.defect_count} "
+            f"defect_ratio={s.defect_ratio:.3f} metrics={s.metric_count}"
         )
     return EXIT_OK
 
@@ -159,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if bundle.failures:
         for failure in bundle.failures:
             print(
-                f"failed: {failure.method.value} {failure.source_name}->{failure.target_name}: "
+                f"failed: {failure.method.value} {failure.source}->{failure.target}: "
                 f"{failure.error}",
                 file=sys.stderr,
             )
@@ -218,9 +220,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_dpr(args: argparse.Namespace) -> int:
-    from cpdp_ifs.experiment import DPR_IMPROVEMENT_THRESHOLD, load_projects
-    from cpdp_ifs.stats import dpr
-
     config = load_config(args.config)
     names = {spec.name for spec in config.datasets}
     for name in (args.source, args.target):
@@ -234,7 +233,10 @@ def _cmd_dpr(args: argparse.Namespace) -> int:
         config,
         datasets=tuple(d for d in config.datasets if d.name in (args.source, args.target)),
     )
-    summaries = {p.name: summarize(p) for p in load_projects(wanted)}
+    summaries = {
+        name: summarize(labels, len(schema.feature_names))
+        for name, _, schema, _, labels in load_datasets(wanted, parse_csv, parse_arff)
+    }
     value = dpr(summaries[args.source].defect_ratio, summaries[args.target].defect_ratio)
     low = value < DPR_IMPROVEMENT_THRESHOLD
     print(f"dpr={value:.6f}")

@@ -1,4 +1,4 @@
-"""Loading, validation and schema handling for defect data sets.
+"""Loading, validation, schema handling and label summaries of defect data sets.
 
 Supports the two formats the public defect corpora ship in: plain CSV with a
 header row, and a dense subset of the attribute-relation (ARFF) format.
@@ -7,7 +7,8 @@ collected by different groups can be compared by feature identity.
 
 ``parse_csv`` and ``parse_arff`` check every cell in pure Python and give a
 project's parts unbuilt; ``load_csv`` and ``load_arff`` build those into a
-``Project``. Only building one imports numpy, so ``ingest`` never does.
+``Project``. Only building one imports numpy, so ``ingest`` and ``dpr``,
+which ``summarize`` the parsed labels, never do.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class Project:
         import numpy as np
 
         matrix = np.array(self.matrix, dtype=float)
-        labels = np.array(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
         if matrix.ndim != 2:
             raise DataFormatError("feature matrix must be two-dimensional")
         m, n = matrix.shape
@@ -116,8 +117,10 @@ class Project:
             raise DataFormatError(f"label count {labels.shape} does not match {m} instances")
         if not np.all(np.isfinite(matrix)):
             raise DataFormatError("feature matrix contains non-finite values")
+        # Checked before the cast, which would truncate 0.4 or 256.0 to 0.
         if not np.all((labels == 0) | (labels == 1)):
             raise DataFormatError("labels must be binary")
+        labels = labels.astype(np.int8)
         if len(self.schema.feature_names) != n:
             raise DataFormatError(
                 f"schema lists {len(self.schema.feature_names)} features, matrix has {n} columns"
@@ -146,16 +149,24 @@ class DatasetSummary:
     metric_count: int
 
 
-def summarize(project: Project) -> DatasetSummary:
-    """Instance/defect counts and the defect ratio of a project."""
-    m = project.n_instances
-    defects = int(project.labels.sum())
-    return DatasetSummary(
-        instance_count=m,
-        defect_count=defects,
-        defect_ratio=defects / m,
-        metric_count=project.n_features,
-    )
+def summarize(labels: Sequence[int], metric_count: int) -> DatasetSummary:
+    """Instance/defect counts and the defect ratio of a data set's 0/1 labels."""
+    # Python ints: a sum over an int8 array would wrap at 128.
+    defects = sum(map(int, labels))
+    return DatasetSummary(len(labels), defects, defects / len(labels), metric_count)
+
+
+DPR_IMPROVEMENT_THRESHOLD = 0.64
+DPR_APPROPRIATE_MAX = 2.5
+
+
+def dpr(source_defect_ratio: float, target_defect_ratio: float) -> float:
+    """Defect proneness ratio: source defect ratio over target defect ratio."""
+    if not 0.0 <= source_defect_ratio <= 1.0 or not 0.0 <= target_defect_ratio <= 1.0:
+        raise ValueError("defect ratios must lie in [0, 1]")
+    if target_defect_ratio == 0.0:
+        raise ValueError("DPR undefined: target project has no defective instances")
+    return source_defect_ratio / target_defect_ratio
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:

@@ -18,9 +18,9 @@ import itertools
 import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -36,7 +36,10 @@ from cpdp_ifs.config import (
     load_datasets,
     parse_config,
 )
-from cpdp_ifs.corpus import DatasetSummary, Project, load_arff, load_csv, summarize
+from cpdp_ifs.corpus import (
+    DPR_APPROPRIATE_MAX, DPR_IMPROVEMENT_THRESHOLD, DatasetSummary, Project, dpr, load_arff,
+    load_csv, summarize,
+)
 from cpdp_ifs.learner import save_model
 from cpdp_ifs.predictors import (
     PairPlan,
@@ -48,10 +51,7 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.stats import compare_paired, dpr, pearson, row_quantiles
-
-DPR_IMPROVEMENT_THRESHOLD = 0.64
-DPR_APPROPRIATE_MAX = 2.5
+from cpdp_ifs.stats import compare_paired, pearson, row_quantiles
 
 _RUNNERS = {
     Method.CPDP_PURE: run_cpdp_pure,
@@ -65,12 +65,11 @@ def load_projects(config: ExperimentConfig) -> tuple[Project, ...]:
     return tuple(load_datasets(config, load_csv, load_arff))
 
 
-# Report rows: each frozen dataclass below is one report table's schema,
-# written by ``write_table``; its fields are the table's columns, in order.
+# Report rows: each NamedTuple below is one report table's schema, written
+# by ``write_table``; its field names are the table's columns, in order.
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One ``results.csv`` row: an executed pair's confusion counts and scores."""
 
     method: Method
@@ -85,8 +84,7 @@ class ResultRow:
     f_measure: float
 
 
-@dataclass(frozen=True)
-class BestRow:
+class BestRow(NamedTuple):
     """One ``best_per_target.csv`` row: the best source of a method for a target."""
 
     method: Method
@@ -97,18 +95,16 @@ class BestRow:
     f_measure: float
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     """One ``failures.csv`` row: a pair that could not run, with the reason."""
 
     method: Method
-    source_name: str = field(metadata={"csv": "source"})
-    target_name: str = field(metadata={"csv": "target"})
+    source: str
+    target: str
     error: str
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One ``comparisons.csv`` row: a signed-rank test of two methods' best scores."""
 
     method_a: Method
@@ -120,13 +116,12 @@ class ComparisonRow:
     note: str
 
 
-@dataclass(frozen=True)
-class DprRow:
+class DprRow(NamedTuple):
     """One ``dpr_analysis.csv`` row: a target's DPR, fused gain and DPR-to-f correlation."""
 
     target: str
     pure_source: str
-    dpr_value: float | None = field(metadata={"csv": "dpr"})
+    dpr: float | None
     f_pure: float | None
     f_mix: float | None
     improvement: float | None
@@ -137,8 +132,7 @@ class DprRow:
     note: str
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(NamedTuple):
     """One ``boxplot_summary.csv`` row: a group's five numbers, whiskers and outliers."""
 
     group: str
@@ -358,7 +352,7 @@ def analyze_dpr(
             DprRow(
                 target=target,
                 pure_source=pure.source_name,
-                dpr_value=dpr_value,
+                dpr=dpr_value,
                 f_pure=pure.f_measure,
                 f_mix=f_mix,
                 improvement=improvement,
@@ -399,7 +393,7 @@ def run_plan(
                 f"pairs {first[0]!r}->{first[1]!r} and {pair[0]!r}->{pair[1]!r} "
                 "would save their models to the same file"
             )
-    summaries = {name: summarize(project) for name, project in by_name.items()}
+    summaries = {name: summarize(p.labels, p.n_features) for name, p in by_name.items()}
 
     outcomes, failures, planned_counts = _execute_pairs(config, by_name)
 
@@ -423,7 +417,7 @@ def run_plan(
             sorted(outcomes, key=lambda o: (o.method.value, o.target_name, o.source_name))
         ),
         failures=tuple(
-            sorted(failures, key=lambda f: (f.method.value, f.target_name, f.source_name))
+            sorted(failures, key=lambda f: (f.method.value, f.target, f.source))
         ),
         best=tuple(o for _, rows in by_method for _, o in rows),
         comparisons=_build_comparisons(config.methods, best_map),
@@ -447,17 +441,12 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def write_table(handle: TextIO, row_type: type, rows: Iterable[object]) -> None:
-    """One CSV table of ``row_type`` dataclass rows.
-
-    The header is the row type's field names in order, or a field's ``csv``
-    metadata where the column is named otherwise; cells go through ``_fmt``.
-    """
-    columns = fields(row_type)
+def write_table(handle: TextIO, row_type: type, rows: Iterable[tuple]) -> None:
+    """One CSV table of ``row_type`` rows: the header is its field names,
+    and each cell goes through ``_fmt``."""
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow([f.metadata.get("csv", f.name) for f in columns])
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, f.name)) for f in columns])
+    writer.writerow(row_type._fields)
+    writer.writerows(map(_fmt, row) for row in rows)
 
 
 def write_report(bundle: ReportBundle, out_dir: Path) -> None:

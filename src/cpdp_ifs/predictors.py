@@ -40,9 +40,11 @@ class PredictionOutcome:
     f_measure: float = field(init=False)
 
     def __post_init__(self) -> None:
-        predicted = np.asarray(self.predicted, dtype=np.int8)
+        predicted = np.asarray(self.predicted)
+        # Checked before the cast, which would truncate 0.6 to 0.
         if not np.all((predicted == 0) | (predicted == 1)):
             raise ValueError("predictions must be binary")
+        predicted = predicted.astype(np.int8, copy=False)
         predicted.setflags(write=False)
         object.__setattr__(self, "predicted", predicted)
         for name, score in zip(("precision", "recall", "f_measure"), prf(self.confusion)):
@@ -188,7 +190,8 @@ def run_mix(
         raise ValueError("mix requires outcomes for the same target")
     if pure_outcome.predicted.shape != profile_outcome.predicted.shape:
         raise ValueError("mix requires predictions over the same instances")
-    labels = np.asarray(target_labels, dtype=np.int8)
+    # Not cast: the confusion counts check 0/1, and an int8 cast would make 0.4 a 0.
+    labels = np.asarray(target_labels)
     if labels.shape != pure_outcome.predicted.shape:
         raise ValueError("target labels must align with the predictions")
 

@@ -100,15 +100,6 @@ def prf(confusion: ConfusionMatrix) -> tuple[float, float, float]:
     return precision, recall, f_measure
 
 
-def dpr(source_defect_ratio: float, target_defect_ratio: float) -> float:
-    """Defect proneness ratio: source defect ratio over target defect ratio."""
-    if not 0.0 <= source_defect_ratio <= 1.0 or not 0.0 <= target_defect_ratio <= 1.0:
-        raise ValueError("defect ratios must lie in [0, 1]")
-    if target_defect_ratio == 0.0:
-        raise ValueError("DPR undefined: target project has no defective instances")
-    return source_defect_ratio / target_defect_ratio
-
-
 def cliffs_delta(x: np.ndarray, y: np.ndarray) -> float:
     """Cliff's delta: (#{x_i > y_j} - #{x_i < y_j}) / (|x|*|y|)."""
     x = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpdp_ifs.corpus import FeatureSchema, Project
+from cpdp_ifs.corpus import FeatureSchema, Project, dpr
 from cpdp_ifs.learner import (
     LearnerParams,
     _expit,
@@ -36,7 +36,6 @@ from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_instance, characteri
 from cpdp_ifs.stats import (
     ConfusionMatrix,
     cliffs_delta,
-    dpr,
     wilcoxon_signed_rank,
 )
 

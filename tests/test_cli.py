@@ -672,9 +672,9 @@ class TestUsage:
         assert result.returncode == 0, result.stderr
         assert result.stdout
 
-    # Run with ingest's arguments: importing the CLI loads no numpy, and after
-    # ingest exits 0 neither numpy nor any package module beyond cli, config
-    # and corpus is loaded.
+    # Run with a command's arguments: importing the CLI loads no numpy, and
+    # after the command exits 0 neither numpy nor any package module beyond
+    # cli, config and corpus is loaded.
     NO_NUMPY_CHECK = (
         "import sys, cpdp_ifs.cli\n"
         "assert 'numpy' not in sys.modules, 'import cpdp_ifs.cli loaded numpy'\n"
@@ -693,22 +693,42 @@ class TestUsage:
         assert result.returncode == 0, result.stderr
         assert len(result.stdout.splitlines()) == 8
 
+    def test_dpr_loads_no_numpy(self, corpus_dir):
+        argv = ["dpr", "--config", str(corpus_dir / "config.json"),
+                "--source", "fam_a_p0", "--target", "fam_b_p1"]
+        result = subprocess.run(
+            [sys.executable, "-c", self.NO_NUMPY_CHECK, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        # The bytes of the route that built both projects with numpy.
+        assert result.stdout == "dpr=0.945455\nlow_dpr=false (threshold 0.64)\n"
+
     def test_every_dataclass_has_its_own_docstring(self):
-        # Without one, dataclass builds a docstring from inspect.signature at import.
+        # Without one, dataclass builds a docstring from inspect.signature at
+        # import, and namedtuple one that lists the fields. The report rows
+        # are the NamedTuples.
         import importlib
         import pkgutil
 
         import cpdp_ifs
 
-        found = []
+        found: dict[str, list[str]] = {"dataclass": [], "namedtuple": []}
         for info in pkgutil.iter_modules(cpdp_ifs.__path__):
             module = importlib.import_module(f"cpdp_ifs.{info.name}")
             for name, obj in vars(module).items():
-                if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                        and obj.__module__ == module.__name__):
-                    found.append(name)
-                    assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
-        assert len(found) == 21
+                if not isinstance(obj, type) or obj.__module__ != module.__name__:
+                    continue
+                if dataclasses.is_dataclass(obj):
+                    found["dataclass"].append(name)
+                elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                    found["namedtuple"].append(name)
+                else:
+                    continue
+                assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
+        assert len(found["dataclass"]) == 15
+        assert sorted(found["namedtuple"]) == [
+            "BestRow", "BoxplotSummary", "ComparisonRow", "DprRow", "FailureRecord", "ResultRow",
+        ]
 
     def test_every_private_helper_is_used_in_src(self):
         # A private function or class that only tests reach is dead code. A

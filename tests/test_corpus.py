@@ -91,6 +91,12 @@ class TestProject:
         with pytest.raises(DataFormatError, match="binary"):
             make_project(["a"], [[1.0], [2.0]], [0, 2])
 
+    @pytest.mark.parametrize("labels", [[0.4, 1.0, 0.9], [256.0, 1.0, 0.0]])
+    def test_labels_are_checked_before_the_int8_cast(self, labels):
+        # The cast alone would read these as [0 1 0] and [0 1 0].
+        with pytest.raises(DataFormatError, match="binary"):
+            make_project(["a"], [[1.0], [2.0], [3.0]], labels)
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(DataFormatError):
             make_project(["a"], [[1.0], [2.0]], [0, 1, 1])
@@ -448,13 +454,14 @@ class TestLoaderFuzz:
 
 class TestIngestParsesAsLoaders:
     """``ingest`` reads a data file with the loaders' own parser: it prints
-    ``summarize(load_*(...))``, or fails with the loader's message."""
+    ``summarize`` of ``load_*(...)``, or fails with the loader's message."""
 
     @staticmethod
     def check(loader, reference, path, schema):
         TestLoaderFuzz.check(loader, reference, path, schema)
         try:
-            s = summarize(loader(path, schema, name="p"))
+            project = loader(path, schema, name="p")
+            s = summarize(project.labels, project.n_features)
             line = (f"p: family=default instances={s.instance_count} defects={s.defect_count} "
                     f"defect_ratio={s.defect_ratio:.3f} metrics={s.metric_count}\n")
             want = (EXIT_OK, line, "")
@@ -495,13 +502,20 @@ class TestIngestParsesAsLoaders:
 class TestSummarize:
     def test_counts_and_ratio(self):
         project = make_project(["a"], [[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 0])
-        s = summarize(project)
+        s = summarize(project.labels, project.n_features)
         assert (s.instance_count, s.defect_count, s.metric_count) == (4, 2, 1)
         assert s.defect_ratio == 0.5
 
     def test_all_clean(self):
         project = make_project(["a"], [[1.0], [2.0]], [0, 0])
-        assert summarize(project).defect_ratio == 0.0
+        assert summarize(project.labels, project.n_features).defect_ratio == 0.0
+
+    def test_counts_past_the_int8_range(self):
+        # A Project's labels are int8: the builtin sum over them wraps, 300 ones to 44.
+        project = make_project(["a"], [[1.0]] * 301, [1] * 300 + [0])
+        s = summarize(project.labels, project.n_features)
+        assert (s.instance_count, s.defect_count) == (301, 300)
+        assert s == summarize([1] * 300 + [0], 1)
 
 
 class TestIntersectFeatures:

@@ -15,8 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpdp_ifs.experiment import (
-    DPR_APPROPRIATE_MAX,
-    DPR_IMPROVEMENT_THRESHOLD,
     ConfigError,
     DataError,
     DatasetSpec,
@@ -32,7 +30,13 @@ from cpdp_ifs.experiment import (
 )
 from cpdp_ifs import predictors
 from cpdp_ifs.cli import main as cli_main
-from cpdp_ifs.corpus import Project, intersect_features, summarize
+from cpdp_ifs.corpus import (
+    DPR_APPROPRIATE_MAX,
+    DPR_IMPROVEMENT_THRESHOLD,
+    Project,
+    intersect_features,
+    summarize,
+)
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
@@ -389,6 +393,13 @@ def corpus_bundle(tmp_path_factory):
     return tmp_path, config, bundle
 
 
+@pytest.fixture(scope="module")
+def corpus_report(corpus_bundle, tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus_report")
+    corpus_bundle[2].write(out)
+    return out
+
+
 class TestRunPlan:
     def test_every_planned_pair_is_accounted_for(self, corpus_bundle):
         _, config, bundle = corpus_bundle
@@ -422,9 +433,9 @@ class TestRunPlan:
         pure_targets = {o.target_name for o in bundle.best if o.method is Method.CPDP_PURE}
         assert {row.target for row in bundle.dpr_rows} == pure_targets
         for row in bundle.dpr_rows:
-            assert row.dpr_value is not None
-            assert row.low_dpr is (row.dpr_value < DPR_IMPROVEMENT_THRESHOLD)
-            assert row.within_appropriate_range is (row.dpr_value <= DPR_APPROPRIATE_MAX)
+            assert row.dpr is not None
+            assert row.low_dpr is (row.dpr < DPR_IMPROVEMENT_THRESHOLD)
+            assert row.within_appropriate_range is (row.dpr <= DPR_APPROPRIATE_MAX)
             # 5 or 6 cross-family sources per target, so the correlation ran
             assert row.pearson_r is not None
 
@@ -454,7 +465,7 @@ class TestRunPlan:
         bundle = run_plan(config, projects=[good, frozen])
         assert len(bundle.failures) == 1
         failure = bundle.failures[0]
-        assert failure.source_name == "mono"
+        assert failure.source == "mono"
         assert "one class" in failure.error
         # the healthy direction still completed
         assert len(bundle.outcomes) == 1
@@ -739,7 +750,7 @@ def test_degenerate_failures_replay_per_pair(workers):
         workers=workers,
     )
     bundle = run_plan(config, projects=projects)
-    failures = [(f.method.value, f.source_name, f.target_name, f.error) for f in bundle.failures]
+    failures = [(f.method.value, f.source, f.target, f.error) for f in bundle.failures]
     assert failures == DEGENERATE_FAILURES
     assert len(bundle.outcomes) == 18
 
@@ -810,6 +821,22 @@ class TestWriteReport:
         assert lines[0] == "method,source,target,tp,fp,tn,fn,precision,recall,f_measure"
         assert len(lines) - 1 == len(bundle.outcomes)
 
+    # Each table's header is its row type's field names; a renamed field
+    # shows here as a diff of one line.
+    @pytest.mark.parametrize("name, header", [
+        ("results.csv", "method,source,target,tp,fp,tn,fn,precision,recall,f_measure"),
+        ("best_per_target.csv", "method,target,source,precision,recall,f_measure"),
+        ("failures.csv", "method,source,target,error"),
+        ("comparisons.csv", "method_a,method_b,n_targets,statistic,p_value,cliffs_delta,note"),
+        ("dpr_analysis.csv", "target,pure_source,dpr,f_pure,f_mix,improvement,low_dpr,"
+                             "within_appropriate_range,pearson_r,pearson_p,note"),
+        ("boxplot_summary.csv", "group,n,minimum,first_quartile,median,third_quartile,"
+                                "maximum,lower_whisker,upper_whisker,outliers"),
+    ])
+    def test_table_header(self, corpus_report, name, header):
+        with open(corpus_report / name, encoding="utf-8") as handle:
+            assert handle.readline() == header + "\n"
+
     def test_best_rows_reproducible_from_results_csv(self, corpus_bundle, tmp_path):
         import csv as csv_mod
 
@@ -879,7 +906,8 @@ class TestWriteReport:
         assert "date" not in text
 
 
-def dpr_rows(outcomes, summaries):
+def dpr_rows(outcomes, *projects):
+    summaries = {p.name: summarize(p.labels, p.n_features) for p in projects}
     return analyze_dpr(outcomes, best_per_target(outcomes), summaries)
 
 
@@ -904,8 +932,8 @@ class TestAnalyzeDpr:
         )
         assert 0.16 / 0.25 == 0.64
         outcome = run_cpdp_pure(source, target)
-        rows = dpr_rows([outcome], {"s": summarize(source), "t": summarize(target)})
-        assert rows[0].dpr_value == pytest.approx(0.64)
+        rows = dpr_rows([outcome], source, target)
+        assert rows[0].dpr == pytest.approx(0.64)
         assert rows[0].low_dpr is False
 
     def test_undefined_dpr_noted(self):
@@ -917,8 +945,8 @@ class TestAnalyzeDpr:
             target, labels=np.zeros(target.n_instances, dtype=int)
         )
         outcome = run_cpdp_pure(source, clean_target)
-        rows = dpr_rows([outcome], {"s": summarize(source), "t": summarize(clean_target)})
-        assert rows[0].dpr_value is None
+        rows = dpr_rows([outcome], source, clean_target)
+        assert rows[0].dpr is None
         assert "no defective instances" in rows[0].note
 
     def test_correlation_requires_three_sources(self):
@@ -929,10 +957,7 @@ class TestAnalyzeDpr:
         pure = run_cpdp_pure(source, target)
         other = planted_project(rng, "o", "f2", 5, 90)
         profile = run_ifs_our(other, target)
-        rows = dpr_rows(
-            [pure, profile],
-            {"s": summarize(source), "t": summarize(target), "o": summarize(other)},
-        )
+        rows = dpr_rows([pure, profile], source, target, other)
         assert rows[0].pearson_r is None
         assert "fewer than 3 profile sources" in rows[0].note
 
@@ -945,10 +970,7 @@ class TestAnalyzeDpr:
         pure = run_cpdp_pure(source, target)
         profile = run_ifs_our(other, target)
         fused = run_mix(pure, profile, target.labels)
-        rows = dpr_rows(
-            [pure, profile, fused],
-            {"s": summarize(source), "t": summarize(target), "o": summarize(other)},
-        )
+        rows = dpr_rows([pure, profile, fused], source, target, other)
         assert rows[0].f_mix == fused.f_measure
         assert rows[0].improvement == pytest.approx(fused.f_measure - pure.f_measure)
 

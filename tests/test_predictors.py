@@ -253,6 +253,13 @@ class TestRunMix:
         with pytest.raises(ValueError, match="same target"):
             run_mix(pure, profile, np.array([0, 1]))
 
+    def test_non_binary_target_labels_rejected(self):
+        # An int8 cast would read 0.4 as 0 and score the fused run against it.
+        pure = outcome_of(Method.CPDP_PURE, [0, 1], [0, 1])
+        profile = outcome_of(Method.IFS_OUR, [0, 0], [0, 1])
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            run_mix(pure, profile, np.array([0.4, 1.0]))
+
     def test_length_mismatch_rejected(self):
         pure = outcome_of(Method.CPDP_PURE, [0, 1], [0, 1])
         profile = outcome_of(Method.IFS_OUR, [0, 1, 1], [0, 1, 1])
@@ -326,6 +333,14 @@ class TestPredictionOutcomeValidation:
             PredictionOutcome(
                 source_name="s", target_name="t", method=Method.CPDP_PURE,
                 predicted=np.array([0, 2]), confusion=ConfusionMatrix(1, 0, 1, 0),
+            )
+
+    def test_predictions_are_checked_before_the_int8_cast(self):
+        # The cast alone would read [0.6, 1.0] as [0 1].
+        with pytest.raises(ValueError, match="binary"):
+            PredictionOutcome(
+                source_name="s", target_name="t", method=Method.CPDP_PURE,
+                predicted=np.array([0.6, 1.0]), confusion=ConfusionMatrix(1, 0, 1, 0),
             )
 
     def test_scores_come_from_the_confusion_counts(self):

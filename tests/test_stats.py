@@ -14,7 +14,6 @@ from cpdp_ifs.stats import (
     ConfusionMatrix,
     cliffs_delta,
     compare_paired,
-    dpr,
     pearson,
     prf,
     row_median,
@@ -23,6 +22,8 @@ from cpdp_ifs.stats import (
     _midranks,
     _student_t_two_sided_p,
 )
+
+from cpdp_ifs.corpus import dpr
 
 from oracles import wilcoxon_exact_oracle
 
