@@ -154,7 +154,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"output path {str(path)!r} exists and is not a directory")
 
     bundle = run_plan(config)
-    bundle.write(out_dir)
+    # Imported here, as in ``run_plan``, so that no other command loads numpy.
+    from cpdp_ifs.experiment import write_report
+
+    write_report(bundle, out_dir)
 
     print(f"report written to {out_dir}")
     print(f"pairs completed: {len(bundle.outcomes)}, failed: {len(bundle.failures)}")

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,8 +139,7 @@ class Project:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     """Instance, defect and metric counts of one project, as ``summarize`` gives them."""
 
     instance_count: int

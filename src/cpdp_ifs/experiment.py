@@ -3,11 +3,13 @@
 A run enumerates every applicable source/target pair for the configured
 methods and runs each method's pairs as one task of a thread pool, over a
 ``RunMemo`` of its own, so more than three workers never add a thread. It
-keeps the best source per target by f-measure, derives the fused
-predictions, and writes a deterministic report directory: identical config
-plus identical data yields byte-identical CSVs (rows sorted, floats fixed
-to six decimals, manifest free of timestamps). The config types and reader
-live in ``cpdp_ifs.config`` and can be imported from here too.
+keeps the best source per target by f-measure and derives the fused
+predictions. ``run_plan`` returns all of it as a ``ReportBundle``, and
+``write_report(bundle, out_dir)`` writes a deterministic report directory:
+identical config plus identical data yields byte-identical CSVs (rows
+sorted, floats fixed to six decimals, manifest free of timestamps). The
+config types and reader live in ``cpdp_ifs.config`` and can be imported
+from here too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import itertools
 import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -155,7 +156,8 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
     """
     summaries = []
     for group, raw in groups.items():
-        values = np.asarray(list(raw), dtype=float)
+        # ``+ 0.0`` turns -0.0 into 0.0, so every zero prints as 0.000000.
+        values = np.asarray(list(raw), dtype=float) + 0.0
         if values.size == 0:
             raise ValueError(f"empty group {group!r}")
         if not np.all(np.isfinite(values)):
@@ -195,8 +197,7 @@ def best_per_target(
     return best
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(NamedTuple):
     """Everything a run reports, ready for ``write_report``."""
 
     config: ExperimentConfig
@@ -208,9 +209,6 @@ class ReportBundle:
     dpr_rows: tuple[DprRow, ...]
     boxplots: tuple[BoxplotSummary, ...]
     planned_counts: Mapping[str, int]
-
-    def write(self, out_dir: str | Path) -> None:
-        write_report(self, Path(out_dir))
 
 
 def _run_pairs(
@@ -248,27 +246,6 @@ def _execute_pairs(
     outcomes = [outcome for done, _ in results for outcome in done]
     failures = [failure for _, failed in results for failure in failed]
     return outcomes, failures, planned_counts
-
-
-def _derive_mix(
-    best: Mapping[Method, Mapping[str, PredictionOutcome]],
-    projects: Mapping[str, Project],
-) -> tuple[list[PredictionOutcome], list[FailureRecord]]:
-    outcomes: list[PredictionOutcome] = []
-    failures: list[FailureRecord] = []
-    pures = best.get(Method.CPDP_PURE, {})
-    profiles = best.get(Method.IFS_OUR, {})
-    for target in sorted(pures.keys() & profiles.keys()):
-        pure, profile = pures[target], profiles[target]
-        try:
-            outcomes.append(run_mix(pure, profile, projects[target].labels))
-        except ValueError as exc:
-            failures.append(
-                FailureRecord(
-                    Method.MIX, f"{pure.source_name}+{profile.source_name}", target, str(exc)
-                )
-            )
-    return outcomes, failures
 
 
 def _build_comparisons(
@@ -330,21 +307,21 @@ def analyze_dpr(
             (o for o in outcomes if o.method is Method.IFS_OUR and o.target_name == target),
             key=lambda o: o.source_name,
         )
-        ratios = []
-        scores = []
-        if summaries[target].defect_ratio > 0:
-            for run in profile_runs:
-                ratios.append(
-                    dpr(summaries[run.source_name].defect_ratio, summaries[target].defect_ratio)
-                )
-                scores.append(run.f_measure)
         pearson_r: float | None = None
         pearson_p: float | None = None
-        if len(ratios) < 3:
+        if len(profile_runs) < 3:
             notes.append("fewer than 3 profile sources; no correlation")
+        elif summaries[target].defect_ratio == 0:
+            notes.append("no DPR for any profile source; no correlation")
         else:
+            ratios = [
+                dpr(summaries[run.source_name].defect_ratio, summaries[target].defect_ratio)
+                for run in profile_runs
+            ]
             try:
-                pearson_r, pearson_p = pearson(np.array(ratios), np.array(scores))
+                pearson_r, pearson_p = pearson(
+                    np.array(ratios), np.array([run.f_measure for run in profile_runs])
+                )
             except ValueError as exc:
                 notes.append(str(exc))
 
@@ -399,12 +376,16 @@ def run_plan(
 
     best_map = best_per_target(outcomes)
     if Method.MIX in config.methods:
-        mix_outcomes, mix_failures = _derive_mix(best_map, by_name)
-        planned_counts[Method.MIX.value] = len(mix_outcomes) + len(mix_failures)
-        outcomes = outcomes + mix_outcomes
-        failures = failures + mix_failures
-        # One fused outcome per target, so each is that target's best mix.
-        best_map[Method.MIX] = {o.target_name: o for o in mix_outcomes}
+        # Each target with a best pure and a best profile outcome gets one
+        # fused outcome, which is its best mix.
+        pures, profiles = best_map.get(Method.CPDP_PURE, {}), best_map.get(Method.IFS_OUR, {})
+        mixes = {
+            target: run_mix(pures[target], profiles[target], by_name[target].labels)
+            for target in sorted(pures.keys() & profiles.keys())
+        }
+        planned_counts[Method.MIX.value] = len(mixes)
+        outcomes += mixes.values()
+        best_map[Method.MIX] = mixes
 
     by_method = sorted(
         (method.value, sorted(targets.items())) for method, targets in best_map.items() if targets
@@ -449,7 +430,9 @@ def write_table(handle: TextIO, row_type: type, rows: Iterable[tuple]) -> None:
     writer.writerows(map(_fmt, row) for row in rows)
 
 
-def write_report(bundle: ReportBundle, out_dir: Path) -> None:
+def write_report(bundle: ReportBundle, out_dir: str | Path) -> None:
+    """Write the report directory: the six CSV tables, the best models and the manifest."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
         "results.csv": (

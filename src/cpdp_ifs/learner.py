@@ -3,7 +3,8 @@
 Training is fully deterministic: zero initialization, no sampling, and a
 step-halving line search on the penalized negative log-likelihood. The tiny
 default ridge keeps the normal equations solvable on separable or collinear
-inputs without noticeably biasing the fit.
+inputs without noticeably biasing the fit. Prediction takes a matrix, one
+row per instance; one instance is a one-row matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +28,7 @@ class DegenerateTrainingError(ValueError):
     """Training data admits no two-class fit (e.g. one class only)."""
 
 
-@dataclass(frozen=True)
-class TrainingMeta:
+class TrainingMeta(NamedTuple):
     """How a fit ended: Newton steps taken, final log-likelihood, convergence."""
 
     iterations: int
@@ -199,31 +199,24 @@ def train(
     )
 
 
-def predict_proba(model: Model, features: np.ndarray) -> float | np.ndarray:
-    """Defect probability for one instance (1-D) or a matrix of instances.
+def predict_proba(model: Model, features: np.ndarray) -> np.ndarray:
+    """Defect probability of each row of a matrix of instances.
 
     Outputs are clipped away from exact 0 and 1 so downstream log odds stay
     finite.
     """
     arr = np.asarray(features, dtype=float)
     n = len(model.feature_names)
-    if arr.ndim == 1:
-        if arr.shape[0] != n:
-            raise ValueError(f"expected {n} feature values, got {arr.shape[0]}")
-        eta = float(arr @ model.weights) + model.intercept
-        return float(np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR))
-    if arr.ndim == 2:
-        if arr.shape[1] != n:
-            raise ValueError(f"expected {n} feature columns, got {arr.shape[1]}")
-        eta = arr @ model.weights + model.intercept
-        return np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    raise ValueError("features must be a vector or a matrix")
+    if arr.ndim != 2:
+        raise ValueError("features must be a matrix, one row per instance")
+    if arr.shape[1] != n:
+        raise ValueError(f"expected {n} feature columns, got {arr.shape[1]}")
+    eta = arr @ model.weights + model.intercept
+    return np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
-def apply_threshold(probabilities: float | np.ndarray, threshold: float) -> int | np.ndarray:
+def apply_threshold(probabilities: np.ndarray, threshold: float) -> np.ndarray:
     """Predict 1 exactly when the probability reaches the decision threshold."""
-    if np.isscalar(probabilities):
-        return int(probabilities >= threshold)
     return (probabilities >= threshold).astype(np.int8)
 
 
@@ -238,7 +231,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "intercept": model.intercept,
         "feature_names": list(model.feature_names),
         "params": asdict(model.params),
-        "meta": asdict(model.meta),
+        "meta": model.meta._asdict(),
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

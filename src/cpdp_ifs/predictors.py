@@ -13,7 +13,7 @@ and profile predictions with a defective-if-either rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,8 +205,7 @@ def run_mix(
     )
 
 
-@dataclass(frozen=True)
-class PairPlan:
+class PairPlan(NamedTuple):
     """One source/target pair that a method will run."""
 
     source_name: str

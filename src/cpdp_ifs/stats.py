@@ -17,6 +17,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +153,7 @@ def _exact_two_sided_p(doubled_ranks: list[int], doubled_statistic: int) -> floa
     return min(1.0, 2.0 * min(at_most, at_least) / denominator)
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     """A signed-rank test's W+, two-sided p-value, pair count and branch."""
 
     statistic: float
@@ -202,8 +202,7 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
     )
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Paired comparison of two methods: significance plus effect size."""
 
     p_value: float

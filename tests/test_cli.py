@@ -535,9 +535,9 @@ class TestBox:
         assert captured.out == ""
         assert captured.err.startswith(f"data error: {path}: 'utf-8' codec")
 
-    def test_signed_zero_cells_print_as_before(self, tmp_path, capsys):
-        # Which zero lands at a quartile's index is up to the partition, and
-        # the sign shows in the output.
+    def test_signed_zero_cells_print_as_zero(self, tmp_path, capsys):
+        # A -0 cell is read as -0.0; every zero of a summary, whichever
+        # lands at a quartile's index or at an end, prints unsigned.
         path = tmp_path / "zeros.csv"
         path.write_text(
             "group,value\na,-0\na,0\na,-0.0\na,0\nb,0\nb,-0\nb,1\nb,-0.0\nb,0.0\n"
@@ -551,8 +551,8 @@ class TestBox:
             "upper_whisker,outliers\n"
             "a,4,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,\n"
             "b,5,0.000000,0.000000,0.000000,0.000000,1.000000,0.000000,0.000000,1.000000\n"
-            "c,1,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,\n"
-            "d,2,-0.000000,0.000000,0.000000,0.000000,-0.000000,-0.000000,-0.000000,\n"
+            "c,1,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,\n"
+            "d,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,\n"
         )
 
 
@@ -703,32 +703,55 @@ class TestUsage:
         # The bytes of the route that built both projects with numpy.
         assert result.stdout == "dpr=0.945455\nlow_dpr=false (threshold 0.64)\n"
 
-    def test_every_dataclass_has_its_own_docstring(self):
-        # Without one, dataclass builds a docstring from inspect.signature at
-        # import, and namedtuple one that lists the fields. The report rows
-        # are the NamedTuples.
+    @staticmethod
+    def _records() -> dict[str, dict[str, type]]:
+        """Every dataclass and every NamedTuple defined in the package, by name."""
         import importlib
         import pkgutil
 
         import cpdp_ifs
 
-        found: dict[str, list[str]] = {"dataclass": [], "namedtuple": []}
+        found: dict[str, dict[str, type]] = {"dataclass": {}, "namedtuple": {}}
         for info in pkgutil.iter_modules(cpdp_ifs.__path__):
             module = importlib.import_module(f"cpdp_ifs.{info.name}")
             for name, obj in vars(module).items():
                 if not isinstance(obj, type) or obj.__module__ != module.__name__:
                     continue
                 if dataclasses.is_dataclass(obj):
-                    found["dataclass"].append(name)
+                    found["dataclass"][name] = obj
                 elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
-                    found["namedtuple"].append(name)
-                else:
-                    continue
-                assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
-        assert len(found["dataclass"]) == 15
+                    found["namedtuple"][name] = obj
+        return found
+
+    def test_every_dataclass_has_its_own_docstring(self):
+        # Without one, dataclass builds a docstring from inspect.signature at
+        # import, and namedtuple one that lists the fields.
+        found = self._records()
+        for name, obj in {**found["dataclass"], **found["namedtuple"]}.items():
+            assert obj.__doc__ and not obj.__doc__.startswith(f"{name}("), name
         assert sorted(found["namedtuple"]) == [
-            "BestRow", "BoxplotSummary", "ComparisonRow", "DprRow", "FailureRecord", "ResultRow",
+            "BestRow", "BoxplotSummary", "ComparisonResult", "ComparisonRow", "DatasetSummary",
+            "DprRow", "FailureRecord", "PairPlan", "ReportBundle", "ResultRow", "TrainingMeta",
+            "WilcoxonResult",
         ]
+
+    def test_a_dataclass_checks_its_input_or_is_read_from_the_config(self):
+        # A record that only carries fields is a NamedTuple: a dataclass earns
+        # its generated methods by a __post_init__ of its own, or because the
+        # config reader reads its fields, defaults and hints.
+        import typing
+
+        from cpdp_ifs.config import ExperimentConfig
+
+        config_types, pending = set(), [ExperimentConfig]
+        while pending:
+            hint = pending.pop()
+            if dataclasses.is_dataclass(hint) and hint not in config_types:
+                config_types.add(hint)
+                pending.extend(typing.get_type_hints(hint).values())
+            pending.extend(typing.get_args(hint))
+        for name, obj in self._records()["dataclass"].items():
+            assert "__post_init__" in vars(obj) or obj in config_types, name
 
     def test_every_private_helper_is_used_in_src(self):
         # A private function or class that only tests reach is dead code. A

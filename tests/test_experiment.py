@@ -27,6 +27,7 @@ from cpdp_ifs.experiment import (
     load_projects,
     parse_config,
     run_plan,
+    write_report,
 )
 from cpdp_ifs import predictors
 from cpdp_ifs.cli import main as cli_main
@@ -396,7 +397,7 @@ def corpus_bundle(tmp_path_factory):
 @pytest.fixture(scope="module")
 def corpus_report(corpus_bundle, tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus_report")
-    corpus_bundle[2].write(out)
+    write_report(corpus_bundle[2], out)
     return out
 
 
@@ -548,7 +549,7 @@ class TestRunPlan:
             methods=methods,
         )
         bundle = run_plan(config, projects=projects)
-        bundle.write(out)
+        write_report(bundle, out)
         return bundle
 
     def test_methods_without_common_targets_compare_nothing(self, tmp_path):
@@ -770,7 +771,7 @@ DEGENERATE_REPORT_DIGEST = "ea780bc52ee53948f3b779bee713c732c70a98d1c489fe8cbce1
 class TestWriteReport:
     def test_report_matches_golden_digest(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
-        bundle.write(tmp_path / "report")
+        write_report(bundle, tmp_path / "report")
         assert report_digest(tmp_path / "report") == GOLDEN_REPORT_DIGEST
 
     def test_demo_report_matches_bench_golden_digest(self, tmp_path):
@@ -788,7 +789,7 @@ class TestWriteReport:
         for name, digest in golden["inputs"]["demo"].items():
             if name != "config.json":  # it names the output directory
                 assert hashlib.sha256((corpus / name).read_bytes()).hexdigest() == digest, name
-        run_plan(load_config(corpus / "config.json")).write(tmp_path / "report")
+        write_report(run_plan(load_config(corpus / "config.json")), tmp_path / "report")
         assert report_digest(tmp_path / "report") == golden["reports"]["demo"]
 
     def test_degenerate_report_matches_digest(self, tmp_path):
@@ -797,15 +798,15 @@ class TestWriteReport:
             datasets=tuple(DatasetSpec(name=p.name, path="unused") for p in projects),
             methods=tuple(Method),
         )
-        run_plan(config, projects=projects).write(tmp_path / "report")
+        write_report(run_plan(config, projects=projects), tmp_path / "report")
         assert report_digest(tmp_path / "report") == DEGENERATE_REPORT_DIGEST
 
     def test_double_run_byte_identical(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle
         first = tmp_path / "r1"
         second = tmp_path / "r2"
-        bundle.write(first)
-        run_plan(config).write(second)
+        write_report(bundle, first)
+        write_report(run_plan(config), second)
         names = [
             "results.csv", "best_per_target.csv", "comparisons.csv",
             "dpr_analysis.csv", "boxplot_summary.csv", "failures.csv", "manifest.json",
@@ -816,7 +817,7 @@ class TestWriteReport:
     def test_results_csv_matches_bundle(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "method,source,target,tp,fp,tn,fn,precision,recall,f_measure"
         assert len(lines) - 1 == len(bundle.outcomes)
@@ -842,7 +843,7 @@ class TestWriteReport:
 
         _, _, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         with open(out / "results.csv", newline="") as handle:
             rows = list(csv_mod.DictReader(handle))
         reselected = reference_best_sources(rows)
@@ -855,7 +856,7 @@ class TestWriteReport:
     def test_models_saved_for_best_only(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         model_files = sorted(p.name for p in (out / "models").glob("*.json"))
         with_models = [o for o in bundle.best if o.model is not None]
         assert len(model_files) == len(with_models)
@@ -865,7 +866,7 @@ class TestWriteReport:
     def test_every_saved_model_is_its_best_outcomes_model(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         with_models = [o for o in bundle.best if o.model is not None]
         names = {f"{o.method.value}__{o.source_name}__{o.target_name}.json" for o in with_models}
         assert {p.name for p in (out / "models").iterdir()} == names
@@ -881,13 +882,13 @@ class TestWriteReport:
     def test_rerun_into_same_directory_drops_stale_models(self, corpus_bundle, tmp_path):
         _, _, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         (out / "models" / "notes.txt").write_text("kept", encoding="utf-8")
-        pure = dataclasses.replace(
-            bundle, best=tuple(o for o in bundle.best if o.method is Method.CPDP_PURE)
+        pure = bundle._replace(
+            best=tuple(o for o in bundle.best if o.method is Method.CPDP_PURE)
         )
-        pure.write(out)
-        pure.write(tmp_path / "fresh")
+        write_report(pure, out)
+        write_report(pure, tmp_path / "fresh")
         assert sorted(p.name for p in (out / "models").iterdir()) == sorted(
             [p.name for p in (tmp_path / "fresh" / "models").iterdir()] + ["notes.txt"]
         )
@@ -896,7 +897,7 @@ class TestWriteReport:
     def test_manifest_has_hash_and_no_timestamps(self, corpus_bundle, tmp_path):
         _, config, bundle = corpus_bundle
         out = tmp_path / "report"
-        bundle.write(out)
+        write_report(bundle, out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(config)
         assert manifest["completed"] == len(bundle.outcomes)
@@ -960,6 +961,23 @@ class TestAnalyzeDpr:
         rows = dpr_rows([pure, profile], source, target, other)
         assert rows[0].pearson_r is None
         assert "fewer than 3 profile sources" in rows[0].note
+
+    def test_zero_defect_target_with_three_profile_sources(self):
+        # The correlation is missing because no source has a DPR on the
+        # target, not for want of profile sources.
+        rng = np.random.default_rng(55)
+        names = ("a", "b", "c", "d")
+        source = planted_project(rng, "b0", "b", 4, 90, feature_names=names)
+        target = planted_project(rng, "b1", "b", 4, 90, feature_names=names)
+        target = dataclasses.replace(target, labels=np.zeros(target.n_instances, dtype=int))
+        others = [planted_project(rng, f"a{i}", "a", 5, 90) for i in range(3)]
+        outcomes = [run_cpdp_pure(source, target)] + [run_ifs_our(o, target) for o in others]
+        (row,) = dpr_rows(outcomes, source, target, *others)
+        assert (row.dpr, row.pearson_r, row.pearson_p) == (None, None, None)
+        assert row.note == (
+            "DPR undefined: target project has no defective instances; "
+            "mix not run for this target; no DPR for any profile source; no correlation"
+        )
 
     def test_mix_improvement_recorded(self):
         rng = np.random.default_rng(54)
@@ -1083,3 +1101,30 @@ class TestBenchLayers:
         )
         assert result.returncode == 0, result.stderr
         assert set(json.loads(result.stdout)) <= self.KNOWN_MISSING
+
+    def test_a_traced_run_calls_every_boundary(self, tmp_path):
+        # A boundary can exist and still be bypassed, for example by a caller
+        # that bound the name before the benchmark wrapped it.
+        repo = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(repo / "src"), str(repo / "bench")])
+        env = {**os.environ, "PYTHONPATH": path}
+        spans = tmp_path / "spans.json"
+        config = write_corpus(tmp_path)
+        traced = subprocess.run(
+            [sys.executable, str(repo / "bench" / "layers.py"), str(spans),
+             "run", "--config", str(config), "--out", str(tmp_path / "report")],
+            capture_output=True, text=True, env=env,
+        )
+        assert traced.returncode == 0, traced.stderr
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, layers, tracing\n"
+             "payload = json.load(open(sys.argv[1], encoding='utf-8'))\n"
+             "print(json.dumps(layers.metrics([tracing.Span(**s) for s in payload['spans']])[1]))",
+             str(spans)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        details = json.loads(result.stdout)
+        assert [line for line in details if line.startswith("unmeasured")] == []
+        assert set(json.loads(spans.read_text(encoding="utf-8"))["missing"]) <= self.KNOWN_MISSING

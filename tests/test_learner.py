@@ -296,40 +296,38 @@ class TestGradient:
 class TestPredictProba:
     def test_zero_model_gives_half(self):
         model = identity_model([0.0, 0.0])
-        assert predict_proba(model, np.array([3.0, -4.0])) == 0.5
+        assert predict_proba(model, np.array([[3.0, -4.0]])).tolist() == [0.5]
 
     def test_saturation_clipped(self):
         model = identity_model([1.0], intercept=50.0)
-        p = predict_proba(model, np.array([10.0]))
+        (p,) = predict_proba(model, np.array([[10.0]]))
         assert p > 1.0 - 1e-6
         assert p <= 1.0 - 1e-12
 
     def test_lower_clip(self):
         model = identity_model([1.0], intercept=-80.0)
-        assert predict_proba(model, np.array([0.0])) >= 1e-12
+        (p,) = predict_proba(model, np.array([[0.0]]))
+        assert p >= 1e-12
 
     def test_two_point_model_probability_matches_oracle(self):
         X = np.array([[0.0], [1.0]])
         model = train(X, np.array([0, 1]), ["x"], LearnerParams(ridge=1e-2))
         oracle_b, oracle_w = grid_logistic_oracle([0.0, 1.0], [0, 1], ridge=1e-2)
-        ours = predict_proba(model, np.array([0.5]))
+        (ours,) = predict_proba(model, np.array([[0.5]]))
         oracle = 1.0 / (1.0 + math.exp(-(oracle_b + oracle_w * 0.5)))
         assert abs(ours - oracle) < 1e-3
-
-    def test_matrix_and_vector_agree(self):
-        model = identity_model([0.5, -0.25], intercept=0.1)
-        matrix = np.array([[1.0, 2.0], [3.0, -1.0]])
-        batched = predict_proba(model, matrix)
-        assert batched.shape == (2,)
-        for i in range(2):
-            assert batched[i] == predict_proba(model, matrix[i])
 
     def test_wrong_width_rejected(self):
         model = identity_model([0.5, -0.25])
         with pytest.raises(ValueError, match="feature"):
-            predict_proba(model, np.array([1.0]))
+            predict_proba(model, np.array([[1.0]]))
         with pytest.raises(ValueError, match="feature"):
             predict_proba(model, np.ones((2, 3)))
+
+    def test_one_instance_is_a_one_row_matrix(self):
+        model = identity_model([0.5, -0.25])
+        with pytest.raises(ValueError, match="matrix"):
+            predict_proba(model, np.array([1.0, 2.0]))
 
 
 class TestClassify:
@@ -349,9 +347,9 @@ class TestClassify:
 
     def test_explicit_threshold_overrides_params(self):
         model = identity_model([1.0])
-        probability = predict_proba(model, np.array([1.0]))
-        assert apply_threshold(probability, 0.9) == 0
-        assert apply_threshold(probability, 0.5) == 1
+        probability = predict_proba(model, np.array([[1.0]]))
+        assert apply_threshold(probability, 0.9).tolist() == [0]
+        assert apply_threshold(probability, 0.5).tolist() == [1]
 
     def test_separable_example(self):
         X = np.array([[-1.0], [-2.0], [1.0], [2.0]])
