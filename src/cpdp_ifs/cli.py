@@ -9,7 +9,9 @@ setting is a config key. Exit codes: 0 success, 1 config/usage error,
 2 data error, 3 run finished with partial failures.
 
 Each command imports the modules it needs when it runs, so neither ``ingest``
-nor ``dpr`` loads numpy.
+nor ``dpr`` loads numpy. A fault in a score table that ``compare`` or ``box``
+reads names the file, with :func:`~cpdp_ifs.corpus.located` around each
+reader, and the data row, with the same around each row of a column.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import math
 import sys
 from pathlib import Path
 
-from cpdp_ifs.config import ConfigError, DataError, ExperimentConfig, load_config, load_datasets
+from cpdp_ifs.config import ConfigError, ExperimentConfig, load_config, load_datasets
 from cpdp_ifs.corpus import (
-    DPR_IMPROVEMENT_THRESHOLD, DataFormatError, dpr, parse_arff, parse_csv, read_table, summarize,
+    DPR_IMPROVEMENT_THRESHOLD, DataFormatError, dpr, located, parse_arff, parse_csv, parse_number,
+    read_table, summarize,
 )
 
 EXIT_OK = 0
@@ -78,47 +80,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """:func:`read_table`, where a repeated column name, a header-only file
     or a data row with more cells than the header is also a data error."""
     header, rows = read_table(path)
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
-        raise DataFormatError(f"{path}: duplicate column names {repeated}")
+        raise DataFormatError(f"duplicate column names {repeated}")
     if not rows:
-        raise DataFormatError(f"empty file (header only): {path}")
+        raise DataFormatError("empty file (header only)")
     for i, row in enumerate(rows, start=1):
         if len(row) > len(header):
-            raise DataFormatError(
-                f"{path}: data row {i} has {len(row)} cells, expected {len(header)}"
-            )
+            with located(f"data row {i}"):
+                raise DataFormatError(f"{len(row)} cells, expected {len(header)}")
     return header, rows
 
 
-def _column(
-    header: list[str], rows: list[list[str]], name: str, path: str, parse=float
-) -> list:
-    """Column ``name`` of a ``_read_csv_rows`` table, each cell ``parse``d;
-    a missing column, or an empty, unparsable or non-finite cell, is a data error."""
+def _column(header: list[str], rows: list[list[str]], name: str, numeric: bool = True) -> list:
+    """Column ``name`` of a ``_read_csv_rows`` table, each cell read by
+    :func:`parse_number` when ``numeric``; a missing column or an empty cell
+    is also a data error."""
     if name not in header:
-        raise DataFormatError(f"{path}: column {name!r} not found")
+        raise DataFormatError(f"column {name!r} not found")
     idx = header.index(name)
     values = []
     for i, row in enumerate(rows, start=1):
-        cell = row[idx] if idx < len(row) else ""
-        if cell == "":
-            raise DataFormatError(f"{path}: missing value in column {name!r} at data row {i}")
-        try:
-            value = parse(cell)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: non-numeric value {cell!r} in column {name!r} at data row {i}"
-            ) from None
-        if parse is float and not math.isfinite(value):
-            raise DataFormatError(
-                f"{path}: non-finite value {cell!r} in column {name!r} at data row {i}"
-            )
-        values.append(value)
+        with located(f"data row {i}"):
+            cell = row[idx] if idx < len(row) else ""
+            if cell == "":
+                raise DataFormatError(f"missing value in column {name!r}")
+            values.append(parse_number(cell, name) if numeric else cell)
     return values
 
 
@@ -173,34 +164,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float]]:
-    header, rows = _read_csv_rows(args.csv)
-    x_col = args.x_col or header[0]
-    y_col = args.y_col or (header[1] if len(header) > 1 else None)
-    if y_col is None:
-        raise DataFormatError(f"{args.csv}: need two columns for a paired comparison")
-    return _column(header, rows, x_col, args.csv), _column(header, rows, y_col, args.csv)
+    with located(args.csv):
+        header, rows = _read_csv_rows(args.csv)
+        x_col = args.x_col or header[0]
+        y_col = args.y_col or (header[1] if len(header) > 1 else None)
+        if y_col is None:
+            raise DataFormatError("need two columns for a paired comparison")
+        return _column(header, rows, x_col), _column(header, rows, y_col)
 
 
 def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[float]]:
     if not (args.method_a and args.method_b):
         raise ConfigError("--results needs --method-a and --method-b")
-    path = str(Path(args.results) / "best_per_target.csv")
-    header, rows = _read_csv_rows(path)
-    methods, targets, f_measures = (
-        _column(header, rows, name, path, parse)
-        for name, parse in (("method", str), ("target", str), ("f_measure", float))
-    )
+    path = Path(args.results) / "best_per_target.csv"
     scores: dict[str, dict[str, float]] = {}
-    for method, target, f_measure in zip(methods, targets, f_measures):
-        if target in scores.setdefault(method, {}):
-            raise DataError(f"{path}: two rows for method {method!r} and target {target!r}")
-        scores[method][target] = f_measure
-    for method in (args.method_a, args.method_b):
-        if method not in scores:
-            raise DataError(f"{path}: no rows for method {method!r}")
-    common = sorted(set(scores[args.method_a]) & set(scores[args.method_b]))
-    if not common:
-        raise DataError(f"{path}: no common targets for the two methods")
+    with located(path):
+        header, rows = _read_csv_rows(path)
+        methods, targets, f_measures = (
+            _column(header, rows, name, numeric)
+            for name, numeric in (("method", False), ("target", False), ("f_measure", True))
+        )
+        for method, target, f_measure in zip(methods, targets, f_measures):
+            if target in scores.setdefault(method, {}):
+                raise DataFormatError(f"two rows for method {method!r} and target {target!r}")
+            scores[method][target] = f_measure
+        for method in (args.method_a, args.method_b):
+            if method not in scores:
+                raise DataFormatError(f"no rows for method {method!r}")
+        common = sorted(set(scores[args.method_a]) & set(scores[args.method_b]))
+        if not common:
+            raise DataFormatError("no common targets for the two methods")
     return [scores[args.method_a][t] for t in common], [scores[args.method_b][t] for t in common]
 
 
@@ -255,18 +248,20 @@ def _cmd_box(args: argparse.Namespace) -> int:
     if args.results:
         # The report holds this table, computed from the unrounded f-measures.
         path = Path(args.results) / "boxplot_summary.csv"
-        try:
-            sys.stdout.write(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
+        with located(path):
+            try:
+                sys.stdout.write(path.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(str(exc)) from None
         return EXIT_OK
-    header, rows = _read_csv_rows(args.csv)
     groups: dict[str, list[float]] = {}
-    for group, value in zip(
-        _column(header, rows, args.group_col, args.csv, str),
-        _column(header, rows, args.value_col, args.csv),
-    ):
-        groups.setdefault(group, []).append(value)
+    with located(args.csv):
+        header, rows = _read_csv_rows(args.csv)
+        for group, value in zip(
+            _column(header, rows, args.group_col, numeric=False),
+            _column(header, rows, args.value_col),
+        ):
+            groups.setdefault(group, []).append(value)
     summaries = emit_boxplot_summary({g: groups[g] for g in sorted(groups)})
     write_table(sys.stdout, BoxplotSummary, summaries)
     return EXIT_OK

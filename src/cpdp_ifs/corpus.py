@@ -9,10 +9,15 @@ collected by different groups can be compared by feature identity.
 project's parts unbuilt; ``load_csv`` and ``load_arff`` build those into a
 ``Project``. Only building one imports numpy, so ``ingest`` and ``dpr``,
 which ``summarize`` the parsed labels, never do.
+
+A :class:`DataFormatError` states only its fault, and each enclosing layer
+puts its own part of the location in front with :func:`located`: a row fault
+reads ``{file}: data row {n}: {fault}``, a file fault ``{file}: {fault}``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -20,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,6 +33,15 @@ if TYPE_CHECKING:
 
 class DataFormatError(ValueError):
     """A data set file or schema violates the expected format."""
+
+
+@contextlib.contextmanager
+def located(where: object) -> Iterator[None]:
+    """Put ``where: `` in front of a :class:`DataFormatError` raised in the block."""
+    try:
+        yield
+    except DataFormatError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
 
 
 class NoCommonMetricsError(ValueError):
@@ -175,89 +189,78 @@ def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(str(exc)) from None
     if not rows:
-        raise DataFormatError(f"empty file: {path}")
+        raise DataFormatError("empty file")
     return [h.strip() for h in rows[0]], rows[1:]
 
 
-def _parse_feature_cell(cell: str, row_no: int, column: str) -> float:
+def parse_number(cell: str, column: str) -> float:
+    """A numeric cell of ``column`` as a finite float, for data sets and score
+    tables alike; anything else is a data error."""
     try:
         value = float(cell)
     except ValueError:
-        raise DataFormatError(
-            f"non-numeric feature cell {cell!r} at data row {row_no}, column {column!r}"
-        ) from None
+        raise DataFormatError(f"non-numeric value {cell!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite feature cell at data row {row_no}, column {column!r}")
+        raise DataFormatError(f"non-finite value {cell!r} in column {column!r}")
     return value
 
 
-def _select_columns(
-    header: list[str], schema: FeatureSchema, origin: str
-) -> tuple[list[int], int, list[str]]:
+def _select_columns(header: list[str], schema: FeatureSchema) -> tuple[list[int], int, list[str]]:
     """Resolve the label index and the feature column indices for a file header."""
     canon_header = [schema.canonical(h) for h in header]
     label_canon = schema.canonical(schema.label_column)
     if label_canon not in canon_header:
-        raise DataFormatError(f"{origin}: label column {schema.label_column!r} not found")
+        raise DataFormatError(f"label column {schema.label_column!r} not found")
     if canon_header.count(label_canon) > 1:
-        raise DataFormatError(f"{origin}: duplicate label column {schema.label_column!r}")
+        raise DataFormatError(f"duplicate label column {schema.label_column!r}")
     label_idx = canon_header.index(label_canon)
 
     if schema.feature_names:
         indices = []
         for canon in schema.canonical_names():
             if canon not in canon_header:
-                raise DataFormatError(f"{origin}: feature column {canon!r} not found")
+                raise DataFormatError(f"feature column {canon!r} not found")
             if canon_header.count(canon) > 1:
-                raise DataFormatError(f"{origin}: duplicate feature names {[canon]}")
+                raise DataFormatError(f"duplicate feature names {[canon]}")
             indices.append(canon_header.index(canon))
     else:
         indices = [i for i in range(len(header)) if i != label_idx]
         selected = [canon_header[i] for i in indices]
         if len(set(selected)) != len(selected):
             dupes = sorted({n for n in selected if selected.count(n) > 1})
-            raise DataFormatError(f"{origin}: duplicate feature names {dupes}")
+            raise DataFormatError(f"duplicate feature names {dupes}")
     names = [header[i].strip() for i in indices]
     return indices, label_idx, names
 
 
-def _label_at(path: Path, cell: str, row_no: int) -> int:
-    """:func:`binarize_label`, with the file and the data row in its fault."""
-    try:
-        return binarize_label(cell)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc} at data row {row_no}") from None
-
-
-_RowFault = Callable[[list[str], int], str | None]
-_LabelOf = Callable[[str, int], int]
 ProjectParts = tuple[str, str, FeatureSchema, Sequence[float], list[int]]
 
 
 def _parse_rows(
     header: list[str], rows: list[list[str]], columns: tuple[list[int], int, list[str]],
     schema_config: FeatureSchema, name: str, family: str,
-    row_fault: _RowFault, label_of: _LabelOf,
+    row_fault: Callable[[list[str]], str | None], label_of: Callable[[str], int],
 ) -> ProjectParts:
     """A file's data rows of cells as a project's parts, the same for every format.
 
     ``row_fault`` gives a row's format fault, if any; ``label_of`` turns a
     label cell into 0/1 or raises. Cells are parsed in bulk; on any fault the
-    per-row loop runs instead and alone raises, for the first in row order.
+    per-row loop runs instead and alone raises, for the first in row order,
+    with the data row in front.
     """
     feature_idx, label_idx, feature_names = columns
     k = len(feature_idx)
     parsed = False
-    if k and not any(map(row_fault, rows, itertools.count(1))):
+    if k and not any(map(row_fault, rows)):
         pick = itemgetter(*feature_idx)
         cells = map(pick, rows) if k == 1 else itertools.chain.from_iterable(map(pick, rows))
         try:
             # An array of doubles holds no float objects, which would stay in
             # the allocator's arenas and raise the run's peak memory.
             values = array("d", map(float, cells))
-            labels = list(map(label_of, map(itemgetter(label_idx), rows), itertools.count(1)))
+            labels = list(map(label_of, map(itemgetter(label_idx), rows)))
             # A sum is finite only if every value is; a sum of finite values
             # that overflows takes the per-row loop, which finds no fault.
             parsed = math.isfinite(sum(values))
@@ -266,11 +269,12 @@ def _parse_rows(
     if not parsed:
         values, labels = array("d"), []
         for row_no, row in enumerate(rows, start=1):
-            fault = row_fault(row, row_no)
-            if fault is not None:
-                raise DataFormatError(fault)
-            values.extend(_parse_feature_cell(row[idx], row_no, header[idx]) for idx in feature_idx)
-            labels.append(label_of(row[label_idx], row_no))
+            with located(f"data row {row_no}"):
+                fault = row_fault(row)
+                if fault is not None:
+                    raise DataFormatError(fault)
+                values.extend(parse_number(row[idx], header[idx]) for idx in feature_idx)
+                labels.append(label_of(row[label_idx]))
     if not k:
         raise DataFormatError("a project needs at least one instance and one feature")
     return name, family, replace(schema_config, feature_names=tuple(feature_names)), values, labels
@@ -298,20 +302,19 @@ def parse_csv(
     parse as a finite number (no imputation).
     """
     path = Path(path)
-    header, data_rows = read_table(path)
-    columns = _select_columns(header, schema_config, str(path))
-    if not data_rows:
-        raise DataFormatError(f"empty file (header only): {path}")
+    with located(path):
+        header, data_rows = read_table(path)
+        columns = _select_columns(header, schema_config)
+        if not data_rows:
+            raise DataFormatError("empty file (header only)")
 
-    def row_fault(row: list[str], row_no: int) -> str | None:
-        if len(row) != len(header):
-            return f"{path}: data row {row_no} has {len(row)} cells, expected {len(header)}"
-        return None
+        def row_fault(row: list[str]) -> str | None:
+            return f"{len(row)} cells, expected {len(header)}" if len(row) != len(header) else None
 
-    return _parse_rows(
-        header, data_rows, columns, schema_config, name or path.stem, family,
-        row_fault, lambda cell, row_no: _label_at(path, cell, row_no),
-    )
+        return _parse_rows(
+            header, data_rows, columns, schema_config, name or path.stem, family,
+            row_fault, binarize_label,
+        )
 
 
 def load_csv(
@@ -325,38 +328,35 @@ def load_csv(
     return _project(parse_csv(path, schema_config, name=name, family=family))
 
 
-def _parse_attribute_line(line: str, path: Path) -> tuple[str, str, tuple[str, ...]]:
+def _parse_attribute_line(line: str) -> tuple[str, str, tuple[str, ...]]:
     """Parse one ``@attribute`` declaration into (name, kind, nominal_values)."""
+    malformed = DataFormatError(f"malformed attribute declaration {line!r}")
     rest = line[len("@attribute"):].strip()
     if not rest:
-        raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+        raise malformed
     if rest[0] in "'\"":
-        quote = rest[0]
-        end = rest.find(quote, 1)
+        end = rest.find(rest[0], 1)
         if end < 0:
-            raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
-        attr_name = rest[1:end]
-        type_spec = rest[end + 1:].strip()
+            raise malformed
+        attr_name, type_spec = rest[1:end], rest[end + 1:].strip()
     else:
         parts = rest.split(None, 1)
         if len(parts) != 2:
-            raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+            raise malformed
         attr_name, type_spec = parts[0], parts[1].strip()
     if not attr_name or not type_spec:
-        raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+        raise malformed
 
     if type_spec.startswith("{"):
         if not type_spec.endswith("}"):
-            raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+            raise malformed
         values = tuple(v.strip().strip("'\"") for v in type_spec[1:-1].split(","))
         if not all(values):
-            raise DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+            raise malformed
         return attr_name, "nominal", values
     if type_spec.lower() in ("numeric", "real", "integer"):
         return attr_name, "numeric", ()
-    raise DataFormatError(
-        f"{path}: unsupported attribute type {type_spec!r} (only numeric and nominal)"
-    )
+    raise DataFormatError(f"unsupported attribute type {type_spec!r} (only numeric and nominal)")
 
 
 def parse_arff(
@@ -371,73 +371,68 @@ def parse_arff(
     path = Path(path)
     attributes: list[tuple[str, str, tuple[str, ...]]] = []
     data_lines: list[str] = []
-    saw_relation = False
-    in_data = False
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line or line.startswith("%"):
-                    continue
-                low = line.lower()
-                if in_data:
-                    data_lines.append(line)
-                elif low.startswith("@relation"):
-                    saw_relation = True
-                elif low.startswith("@attribute"):
-                    attributes.append(_parse_attribute_line(line, path))
-                elif low.startswith("@data"):
-                    in_data = True
-                else:
-                    raise DataFormatError(f"{path}: unexpected line before @data: {line!r}")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if not saw_relation:
-        raise DataFormatError(f"{path}: missing @relation declaration")
-    if not in_data:
-        raise DataFormatError(f"{path}: missing @data section")
-    if not attributes:
-        raise DataFormatError(f"{path}: no @attribute declarations")
-    if not data_lines:
-        raise DataFormatError(f"empty file (no data rows): {path}")
+    saw_relation = in_data = False
+    with located(path):
+        try:
+            with open(path, encoding="utf-8-sig") as handle:
+                for raw in handle:
+                    line = raw.strip()
+                    if not line or line.startswith("%"):
+                        continue
+                    low = line.lower()
+                    if in_data:
+                        data_lines.append(line)
+                    elif low.startswith("@relation"):
+                        saw_relation = True
+                    elif low.startswith("@attribute"):
+                        attributes.append(_parse_attribute_line(line))
+                    elif low.startswith("@data"):
+                        in_data = True
+                    else:
+                        raise DataFormatError(f"unexpected line before @data: {line!r}")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(str(exc)) from None
+        if not saw_relation:
+            raise DataFormatError("missing @relation declaration")
+        if not in_data:
+            raise DataFormatError("missing @data section")
+        if not attributes:
+            raise DataFormatError("no @attribute declarations")
+        if not data_lines:
+            raise DataFormatError("empty file (no data rows)")
 
-    header = [a[0] for a in attributes]
-    kinds = {a[0]: a[1] for a in attributes}
-    nominal_values = {a[0]: set(a[2]) for a in attributes if a[1] == "nominal"}
-    columns = _select_columns(header, schema_config, str(path))
-    for i in columns[0]:
-        if kinds[header[i]] == "nominal":
-            raise DataFormatError(
-                f"{path}: nominal attribute {header[i]!r} cannot be used as a feature"
-            )
+        header = [a[0] for a in attributes]
+        kinds = {a[0]: a[1] for a in attributes}
+        nominal_values = {a[0]: set(a[2]) for a in attributes if a[1] == "nominal"}
+        columns = _select_columns(header, schema_config)
+        for i in columns[0]:
+            if kinds[header[i]] == "nominal":
+                raise DataFormatError(
+                    f"nominal attribute {header[i]!r} cannot be used as a feature"
+                )
+        label_name = header[columns[1]]
 
-    label_name = header[columns[1]]
+        def row_fault(cells: list[str]) -> str | None:
+            if cells[0].startswith("{"):
+                return "sparse ARFF data is not supported"
+            if len(cells) != len(header):
+                return f"row arity mismatch: {len(cells)} values for {len(header)} attributes"
+            if "?" in cells:
+                return "missing value ('?')"
+            return None
 
-    def row_fault(cells: list[str], row_no: int) -> str | None:
-        if cells[0].startswith("{"):
-            return f"{path}: sparse ARFF data is not supported (row {row_no})"
-        if len(cells) != len(header):
-            return (
-                f"{path}: row arity mismatch at data row {row_no}: "
-                f"{len(cells)} values for {len(header)} attributes"
-            )
-        if "?" in cells:
-            return f"{path}: missing value ('?') at data row {row_no}"
-        return None
+        def label_of(cell: str) -> int:
+            cell = cell.strip("'\"")
+            if kinds[label_name] == "nominal" and cell not in nominal_values[label_name]:
+                raise DataFormatError(
+                    f"unknown value token {cell!r} (declared: {sorted(nominal_values[label_name])})"
+                )
+            return binarize_label(cell)
 
-    def label_of(cell: str, row_no: int) -> int:
-        cell = cell.strip("'\"")
-        if kinds[label_name] == "nominal" and cell not in nominal_values[label_name]:
-            raise DataFormatError(
-                f"{path}: unknown value token {cell!r} at data row {row_no} "
-                f"(declared: {sorted(nominal_values[label_name])})"
-            )
-        return _label_at(path, cell, row_no)
-
-    rows = [list(map(str.strip, line.split(","))) for line in data_lines]
-    return _parse_rows(
-        header, rows, columns, schema_config, name or path.stem, family, row_fault, label_of
-    )
+        rows = [list(map(str.strip, line.split(","))) for line in data_lines]
+        return _parse_rows(
+            header, rows, columns, schema_config, name or path.stem, family, row_fault, label_of
+        )
 
 
 def load_arff(

@@ -162,6 +162,9 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
             raise ValueError(f"empty group {group!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"group {group!r} contains non-finite values")
+        # In Python floats, so that a span past the float range gives no warning.
+        if not np.isfinite(float(values.max()) - float(values.min())):
+            raise ValueError(f"group {group!r} spans more than the float range")
         q1, median, q3 = (float(q) for q in row_quantiles(values, (0.25, 0.5, 0.75)))
         iqr = q3 - q1
         low_fence = q1 - 1.5 * iqr

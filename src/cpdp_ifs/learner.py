@@ -63,7 +63,7 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _expit(eta: float | np.ndarray) -> float | np.ndarray:
+def _expit(eta: np.ndarray) -> np.ndarray:
     """The logistic function ``1/(1 + exp(-eta))``, elementwise.
 
     The exponential is the C library's, taken through :func:`math.exp`, so
@@ -77,8 +77,7 @@ def _expit(eta: float | np.ndarray) -> float | np.ndarray:
         exps = np.fromiter(map(math.exp, negated), float, len(negated))
     except OverflowError:
         exps = np.fromiter(map(_exp_or_inf, negated), float, len(negated))
-    # ``[()]`` makes a 0-d result a numpy scalar, as scipy returns it.
-    return (1.0 / (1.0 + exps.reshape(arr.shape)))[()]
+    return 1.0 / (1.0 + exps.reshape(arr.shape))
 
 
 def _objective_at(
@@ -211,6 +210,8 @@ def predict_proba(model: Model, features: np.ndarray) -> np.ndarray:
         raise ValueError("features must be a matrix, one row per instance")
     if arr.shape[1] != n:
         raise ValueError(f"expected {n} feature columns, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("feature matrix contains non-finite values")
     eta = arr @ model.weights + model.intercept
     return np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 

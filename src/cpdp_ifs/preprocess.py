@@ -33,11 +33,14 @@ def zscore(matrix: np.ndarray) -> np.ndarray:
     m = matrix.shape[0]
     if m < 2:
         raise ValueError("insufficient rows for normalization (need at least 2)")
-    mean = matrix.mean(axis=0)
     # Exact max==min is the constancy test; near-cancellation in the mean can
     # leave a tiny nonzero sd on constant columns and blow up the quotient.
     constant = matrix.max(axis=0) == matrix.min(axis=0)
-    sd = np.where(constant, 1.0, matrix.std(axis=0, ddof=1))
+    # Past the float range a column would turn NaN, or zero as if constant.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = matrix.mean(axis=0), np.where(constant, 1.0, matrix.std(axis=0, ddof=1))
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValueError("column statistics overflow the float range")
     normalized = (matrix - mean) / sd
     normalized[:, constant] = 0.0
     return normalized

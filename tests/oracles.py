@@ -292,20 +292,22 @@ def _reference_label_at(path, token: str, row_no: int) -> int:
     try:
         return _reference_label(token)
     except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc} at data row {row_no}") from None
+        raise DataFormatError(f"{path}: data row {row_no}: {exc}") from None
 
 
-def _reference_cell(cell: str, row_no: int, column: str) -> float:
+def _reference_cell(path, cell: str, row_no: int, column: str) -> float:
     from cpdp_ifs.corpus import DataFormatError
 
     try:
         value = float(cell)
     except ValueError:
         raise DataFormatError(
-            f"non-numeric feature cell {cell!r} at data row {row_no}, column {column!r}"
+            f"{path}: data row {row_no}: non-numeric value {cell!r} in column {column!r}"
         ) from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite feature cell at data row {row_no}, column {column!r}")
+        raise DataFormatError(
+            f"{path}: data row {row_no}: non-finite value {cell!r} in column {column!r}"
+        )
     return value
 
 
@@ -341,21 +343,21 @@ def reference_load_csv(path, schema):
     with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     if not rows:
-        raise DataFormatError(f"empty file: {path}")
+        raise DataFormatError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     feature_idx, label_idx, names = _reference_columns(header, schema, str(path))
     data_rows = rows[1:]
     if not data_rows:
-        raise DataFormatError(f"empty file (header only): {path}")
+        raise DataFormatError(f"{path}: empty file (header only)")
     matrix = np.empty((len(data_rows), len(feature_idx)))
     labels = np.empty(len(data_rows), dtype=np.int8)
     for r, row in enumerate(data_rows):
         if len(row) != len(header):
             raise DataFormatError(
-                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)}"
+                f"{path}: data row {r + 1}: {len(row)} cells, expected {len(header)}"
             )
         for c, idx in enumerate(feature_idx):
-            matrix[r, c] = _reference_cell(row[idx], r + 1, header[idx])
+            matrix[r, c] = _reference_cell(path, row[idx], r + 1, header[idx])
         labels[r] = _reference_label_at(path, row[label_idx], r + 1)
     return matrix, labels, names
 
@@ -422,7 +424,7 @@ def reference_load_arff(path, schema):
     if not attributes:
         raise DataFormatError(f"{path}: no @attribute declarations")
     if not data_lines:
-        raise DataFormatError(f"empty file (no data rows): {path}")
+        raise DataFormatError(f"{path}: empty file (no data rows)")
 
     header = [a[0] for a in attributes]
     kinds = {a[0]: a[1] for a in attributes}
@@ -438,21 +440,21 @@ def reference_load_arff(path, schema):
     label_name = header[label_idx]
     for r, line in enumerate(data_lines):
         if line.startswith("{"):
-            raise DataFormatError(f"{path}: sparse ARFF data is not supported (row {r + 1})")
+            raise DataFormatError(f"{path}: data row {r + 1}: sparse ARFF data is not supported")
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise DataFormatError(
-                f"{path}: row arity mismatch at data row {r + 1}: "
+                f"{path}: data row {r + 1}: row arity mismatch: "
                 f"{len(cells)} values for {len(header)} attributes"
             )
         if any(c == "?" for c in cells):
-            raise DataFormatError(f"{path}: missing value ('?') at data row {r + 1}")
+            raise DataFormatError(f"{path}: data row {r + 1}: missing value ('?')")
         for c, idx in enumerate(feature_idx):
-            matrix[r, c] = _reference_cell(cells[idx], r + 1, header[idx])
+            matrix[r, c] = _reference_cell(path, cells[idx], r + 1, header[idx])
         label_cell = cells[label_idx].strip().strip("'\"")
         if kinds[label_name] == "nominal" and label_cell not in nominal_values[label_name]:
             raise DataFormatError(
-                f"{path}: unknown value token {label_cell!r} at data row {r + 1} "
+                f"{path}: data row {r + 1}: unknown value token {label_cell!r} "
                 f"(declared: {sorted(nominal_values[label_name])})"
             )
         labels[r] = _reference_label_at(path, label_cell, r + 1)

@@ -10,7 +10,7 @@ import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.learner import LearnerParams, Model, TrainingMeta
-from make_demo_corpus import planted_matrix
+from make_demo_corpus import planted_matrix, write_arff, write_csv
 
 
 def planted_project(
@@ -32,24 +32,11 @@ def planted_project(
 
 
 def write_project_csv(path: Path, project: Project) -> None:
-    header = list(project.schema.feature_names) + [project.schema.label_column]
-    lines = [",".join(header)]
-    for row, label in zip(project.matrix, project.labels):
-        lines.append(",".join(f"{v:.9f}" for v in row) + f",{int(label)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, project.schema.feature_names, project.matrix, project.labels)
 
 
 def write_project_arff(path: Path, project: Project) -> None:
-    lines = [f"@relation {project.name}", ""]
-    for name in project.schema.feature_names:
-        lines.append(f"@attribute {name} numeric")
-    lines.append(f"@attribute {project.schema.label_column} {{clean,buggy}}")
-    lines.append("")
-    lines.append("@data")
-    for row, label in zip(project.matrix, project.labels):
-        token = "buggy" if label else "clean"
-        lines.append(",".join(f"{v:.9f}" for v in row) + f",{token}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_arff(path, project.name, project.schema.feature_names, project.matrix, project.labels)
 
 
 def corpus_projects(seed: int = 42) -> list[Project]:

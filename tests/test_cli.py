@@ -88,13 +88,16 @@ class TestIngest:
     @pytest.mark.parametrize(
         "name, text, message",
         [
-            ("p.csv", "a,b,bug\r\n1,2,0\r\n3,inf,1\r\n", "non-finite feature cell at data row 2"),
-            ("p.csv", "\ufeffa,bug\n1,0\n2,1,\n", "data row 2 has 3 cells, expected 2"),
+            (
+                "p.csv", "a,b,bug\r\n1,2,0\r\n3,inf,1\r\n",
+                "data row 2: non-finite value 'inf' in column 'b'",
+            ),
+            ("p.csv", "\ufeffa,bug\n1,0\n2,1,\n", "data row 2: 3 cells, expected 2"),
             ("p.csv", "bug\n0\n1\n", "a project needs at least one instance and one feature"),
             (
                 "p.arff",
                 "@relation r\n@attribute a numeric\n@attribute bug {0,1}\n@data\n1,0\n{0 1}\n",
-                "sparse ARFF data is not supported (row 2)",
+                "data row 2: sparse ARFF data is not supported",
             ),
         ],
     )
@@ -104,7 +107,7 @@ class TestIngest:
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         result = run_cli("ingest", "--config", str(tmp_path / "config.json"))
         assert result.returncode == EXIT_DATA
-        assert message in result.stderr
+        assert result.stderr == f"data error: dataset 'p': {tmp_path / name}: {message}\n"
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -198,6 +201,29 @@ class TestRun:
         assert code == EXIT_PARTIAL
         err = capsys.readouterr().err
         assert "no common metrics" in err
+
+    def test_target_statistics_past_the_float_range_fail_the_pair(self, tmp_path):
+        # The mean of b's loc overflows; unchecked, it would give NaN
+        # probabilities and so an all-clean confusion matrix for a->b.
+        (tmp_path / "a.csv").write_text("loc,cbo,bug\n1,2,0\n2,3,1\n3,1,0\n4,5,1\n", "utf-8")
+        (tmp_path / "b.csv").write_text(
+            "loc,cbo,bug\n1e308,2,0\n1e308,3,1\n6,1,0\n7,5,1\n", "utf-8"
+        )
+        config = {
+            "datasets": [{"name": "a", "path": "a.csv", "family": "f"},
+                         {"name": "b", "path": "b.csv", "family": "g"}],
+            "methods": ["ifs_min"],
+            "output_dir": str(tmp_path / "rep"),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("run", "--config", str(tmp_path / "config.json"))
+        assert result.returncode == EXIT_PARTIAL
+        assert sorted(result.stderr.splitlines()) == [
+            f"failed: ifs_min {pair}: column statistics overflow the float range"
+            for pair in ("a->b", "b->a")
+        ]
+        results = (tmp_path / "rep" / "results.csv").read_text(encoding="utf-8")
+        assert results.splitlines()[1:] == []
 
     def test_run_accepts_only_config_and_out(self, corpus_dir, capsys):
         for flag in (["--workers", "1"], ["--log-filter"]):
@@ -390,7 +416,7 @@ class TestCompare:
                 "--method-b", "ifs_our"]
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"data error: {path}: data row 2 has 5 cells, expected 4" in err
+        assert f"data error: {path}: data row 2: 5 cells, expected 4" in err
 
     def test_csv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
@@ -507,11 +533,19 @@ class TestBox:
         path.write_text("method,f_measure\nx,1.0\ny\n", encoding="utf-8")
         result = run_cli("box", "--csv", str(path))
         assert result.returncode == EXIT_DATA
-        assert "missing value in column 'f_measure' at data row 2" in result.stderr
+        assert f"{path}: data row 2: missing value in column 'f_measure'" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG
+
+    def test_span_past_the_float_range_exits_2_naming_the_group(self, tmp_path):
+        path = tmp_path / "vals.csv"
+        path.write_text("method,f_measure\nx,0.5\ny,1e308\ny,-1e308\n", encoding="utf-8")
+        result = run_cli("box", "--csv", str(path))
+        assert result.returncode == EXIT_DATA
+        assert result.stderr == "data error: group 'y' spans more than the float range\n"
+        assert result.stdout == ""
 
     def test_extra_cell_exits_2(self, tmp_path, capsys):
         # A lookup by column would ignore the cells beyond the header.
@@ -519,7 +553,7 @@ class TestBox:
         path.write_text("method,f_measure\nx,0.5\nx,0.5,0.9\n", encoding="utf-8")
         assert main(["box", "--csv", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"data error: {path}: data row 2 has 3 cells, expected 2" in err
+        assert f"data error: {path}: data row 2: 3 cells, expected 2" in err
 
     def test_csv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "vals.csv"
@@ -577,7 +611,7 @@ class TestScoreTables:
                     else ["box", "--csv", str(path), "--group-col", "a", "--value-col", "b"])
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"data error: {path}: non-finite value {token!r} in column {column!r} at data row 2\n"
+            f"data error: {path}: data row 2: non-finite value {token!r} in column {column!r}\n"
         )
 
     def test_compare_reads_a_data_file_as_ingest_does(self, tmp_path, capsys):

@@ -130,7 +130,7 @@ class TestLoadCsv:
         path.write_text(f"loc,bug\n1,0\n2,{cell}\n3,1\n", encoding="utf-8")
         with pytest.raises(DataFormatError) as info:
             load_csv(path, FeatureSchema(label_column="bug"))
-        assert str(info.value) == f"{path}: {fault} at data row 2"
+        assert str(info.value) == f"{path}: data row 2: {fault}"
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "demo.csv"
@@ -213,7 +213,7 @@ class TestLoadArff:
         )
         with pytest.raises(DataFormatError) as info:
             load_arff(path, FeatureSchema(label_column="bug"))
-        assert str(info.value) == f"{path}: {fault} at data row 2"
+        assert str(info.value) == f"{path}: data row 2: {fault}"
 
     def test_minimal_nominal_class(self, tmp_path):
         path = tmp_path / "mini.arff"
@@ -326,6 +326,37 @@ class TestLoadArff:
         assert from_csv.schema.feature_names == from_arff.schema.feature_names
 
 
+# Two cell faults and a file with no feature column: each names its file
+# first, and a cell fault then its data row.
+UNLOCATED_FAULTS = pytest.mark.parametrize(
+    "cells, fault",
+    [(("loc", "2#x"), "data row 1: non-numeric value '2#x' in column 'loc'"),
+     (("loc", "inf"), "data row 1: non-finite value 'inf' in column 'loc'"),
+     ((), "a project needs at least one instance and one feature")],
+    ids=["non_numeric", "non_finite", "label_only"],
+)
+
+
+@UNLOCATED_FAULTS
+@pytest.mark.parametrize("suffix", [".csv", ".arff"])
+def test_a_cell_or_column_fault_names_its_file(tmp_path, capsys, suffix, cells, fault):
+    path = tmp_path / f"a{suffix}"
+    columns, row = ((cells[0], "bug"), f"{cells[1]},1") if cells else (("bug",), "1")
+    if suffix == ".csv":
+        path.write_text(f"{','.join(columns)}\n{row}\n", encoding="utf-8")
+    else:
+        declared = "".join(f"@attribute {c} numeric\n" for c in columns)
+        path.write_text(f"@relation a\n{declared}@data\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        (load_csv if suffix == ".csv" else load_arff)(path, FeatureSchema(label_column="bug"))
+    assert str(info.value) == f"{path}: {fault}"
+    (tmp_path / "config.json").write_text(
+        json.dumps({"datasets": [{"name": "a", "path": path.name}]}), encoding="utf-8"
+    )
+    assert main(["ingest", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: dataset 'a': {path}: {fault}\n"
+
+
 # Cells both loaders must parse to the same bits, and cells (or rows) that
 # must end in the per-row reference's message.
 GOOD_CELLS = st.one_of(
@@ -414,12 +445,16 @@ def fuzz_dir(tmp_path_factory):
 class TestLoaderFuzz:
     """Both loaders against the per-cell reference in ``oracles``: the same
     bits for well-formed files and the same first fault for malformed ones,
-    which the CLI turns into exit 2."""
+    which the CLI turns into exit 2. Every fault planted here is a row
+    fault, which names the file first and its data row once."""
 
     @staticmethod
     def check(loader, reference, path, schema):
         want, got = _loaded(reference, path, schema), _loaded(loader, path, schema)
         assert got == want
+        if isinstance(got, str):
+            assert got.startswith(f"{path}: ")
+            assert got.count("data row") == 1
         assert _ingest_exit_code(path, schema) == (EXIT_DATA if isinstance(want, str) else EXIT_OK)
 
     @given(

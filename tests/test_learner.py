@@ -217,9 +217,10 @@ ETA_VALUES = st.one_of(
 class TestExpit:
     @given(ETA_VALUES)
     def test_scalar_bitwise_equal_scipy(self, eta):
-        got, want = _expit(eta), scipy.special.expit(eta)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # Each value as a one-element array: every caller passes an array.
+        got, want = _expit(np.array([eta])), scipy.special.expit(np.array([eta]))
+        assert got.shape == want.shape == (1,)
+        assert got.tobytes() == want.tobytes()
 
     @given(
         arrays(
@@ -323,6 +324,13 @@ class TestPredictProba:
             predict_proba(model, np.array([[1.0]]))
         with pytest.raises(ValueError, match="feature"):
             predict_proba(model, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, cell):
+        # As ``train`` refuses them: every probability would be NaN.
+        model = identity_model([0.5, -0.25])
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_proba(model, np.array([[1.0, 2.0], [cell, 0.0]]))
 
     def test_one_instance_is_a_one_row_matrix(self):
         model = identity_model([0.5, -0.25])

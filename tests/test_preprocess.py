@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestZscore:
         # values in the last bit, which must still count as constant.
         out = zscore(np.array([[0.1], [0.1], [0.1]]))
         assert np.array_equal(out.ravel(), np.zeros(3))
+
+    # A column whose mean overflows, and one whose deviation does, which
+    # would otherwise be zeroed as if it were constant.
+    @pytest.mark.parametrize("column", [[1e308, 1e308, 6.0, 7.0], [1e300, -1e300, 5e300, 7.0]])
+    def test_statistics_past_the_float_range_rejected(self, column):
+        matrix = np.array([column, [1.0, 2.0, 3.0, 4.0]]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column statistics overflow the float range"):
+                zscore(matrix)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="insufficient rows for normalization"):
