@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -170,7 +171,12 @@ def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float
         y_col = args.y_col or (header[1] if len(header) > 1 else None)
         if y_col is None:
             raise DataFormatError("need two columns for a paired comparison")
-        return _column(header, rows, x_col), _column(header, rows, y_col)
+        x, y = _column(header, rows, x_col), _column(header, rows, y_col)
+        for i, (a, b) in enumerate(zip(x, y), start=1):
+            with located(f"data row {i}"):
+                if not math.isfinite(a - b):
+                    raise DataFormatError(f"{x_col!r} - {y_col!r} overflows the float range")
+        return x, y
 
 
 def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[float]]:

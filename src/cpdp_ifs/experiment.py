@@ -18,6 +18,7 @@ import csv
 import enum
 import itertools
 import json
+import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
@@ -52,7 +53,7 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.stats import compare_paired, pearson, row_quantiles
+from cpdp_ifs.stats import compare_paired, pearson, sorted_quantiles
 
 _RUNNERS = {
     Method.CPDP_PURE: run_cpdp_pure,
@@ -157,32 +158,31 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
     summaries = []
     for group, raw in groups.items():
         # ``+ 0.0`` turns -0.0 into 0.0, so every zero prints as 0.000000.
-        values = np.asarray(list(raw), dtype=float) + 0.0
+        values = np.sort(np.asarray(list(raw), dtype=float)) + 0.0
         if values.size == 0:
             raise ValueError(f"empty group {group!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"group {group!r} contains non-finite values")
+        minimum, maximum = float(values[0]), float(values[-1])
         # In Python floats, so that a span past the float range gives no warning.
-        if not np.isfinite(float(values.max()) - float(values.min())):
+        if not math.isfinite(maximum - minimum):
             raise ValueError(f"group {group!r} spans more than the float range")
-        q1, median, q3 = (float(q) for q in row_quantiles(values, (0.25, 0.5, 0.75)))
+        q1, median, q3 = sorted_quantiles(values, (0.25, 0.5, 0.75)).tolist()
         iqr = q3 - q1
-        low_fence = q1 - 1.5 * iqr
-        high_fence = q3 + 1.5 * iqr
-        inside = values[(values >= low_fence) & (values <= high_fence)]
-        outliers = values[(values < low_fence) | (values > high_fence)]
+        fenced = (values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)
+        inside = values[fenced]
         summaries.append(
             BoxplotSummary(
                 group=group,
                 n=int(values.size),
-                minimum=float(values.min()),
+                minimum=minimum,
                 first_quartile=q1,
                 median=median,
                 third_quartile=q3,
-                maximum=float(values.max()),
-                lower_whisker=float(inside.min()),
-                upper_whisker=float(inside.max()),
-                outliers=tuple(sorted(float(v) for v in outliers)),
+                maximum=maximum,
+                lower_whisker=float(inside[0]),
+                upper_whisker=float(inside[-1]),
+                outliers=tuple(values[~fenced].tolist()),
             )
         )
     return tuple(summaries)

@@ -3,7 +3,10 @@
 Every instance, no matter how many metrics its project records, is mapped to
 the same 16 summary indicators of its metric-value distribution. Profiled
 projects therefore share a feature space and can cross-predict even when
-their raw metric sets differ. One kernel profiles a whole matrix at once.
+their raw metric sets differ. One kernel profiles a whole matrix at once: it
+sorts each row once, -0.0 made 0.0, and reads the median (the mean of the
+middle values) and the quartiles (numpy's linear rule) by index. The variance
+and the moments share one sum of squared deviations.
 
 Scaling an instance by c = 2^k scales the location and spread indicators by
 c and the variance by c^2 and keeps skewness and kurtosis, bit for bit. Mode
@@ -17,7 +20,7 @@ import numpy as np
 
 from cpdp_ifs.corpus import FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
-from cpdp_ifs.stats import row_median, row_quantiles
+from cpdp_ifs.stats import sorted_quantiles
 
 INDICATOR_NAMES: tuple[str, ...] = (
     "min",
@@ -69,30 +72,29 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise ValueError("instance contains non-finite values")
     # Sorting first makes every indicator exactly permutation invariant;
-    # summation order otherwise leaks into the low bits.
-    v = np.sort(rows, axis=1)
-    m, n = v.shape
+    # summation order otherwise leaks into the low bits. ``+ 0.0`` turns
+    # -0.0 into 0.0, so that the order of two zeros cannot show either.
+    v = np.sort(rows, axis=1) + 0.0
+    n = v.shape[1]
 
     minimum = v[:, 0]
     maximum = v[:, -1]
     total = v.sum(axis=1)
     mean = total / n
-    median = row_median(v)
+    median = v[:, (n - 1) // 2 : n // 2 + 1].mean(axis=1)
     mode, variation_ratio = _mode_and_variation_ratio(v)
-    # One partition per quartile, as np.quantile makes: a shared kth list
-    # could move a zero of the other sign to the quartile's index.
-    q1 = row_quantiles(v, (0.25,))[0]
-    q3 = row_quantiles(v, (0.75,))[0]
+    q1, q3 = sorted_quantiles(v, (0.25, 0.75))
     # The mean of a constant row of large values misses it by rounding, and
     # that noise can exceed the absolute threshold, so equal ends count as
-    # no spread at all.
+    # no spread at all. A one-value row is flat, so its n - 1 = 0 goes unused.
     flat = maximum == minimum
-    variance = np.where(flat, 0.0, v.var(axis=1, ddof=1)) if n > 1 else np.zeros(m)
-    sd = np.sqrt(variance)
     deviations = v - mean[:, None]
+    squares = (deviations * deviations).sum(axis=1)
+    variance = np.where(flat, 0.0, squares / max(n - 1, 1))
+    sd = np.sqrt(variance)
     mad = np.where(flat, 0.0, np.abs(deviations).mean(axis=1))
 
-    sd_pop = np.sqrt((deviations**2).mean(axis=1))
+    sd_pop = np.sqrt(squares / n)
     spread = (sd_pop >= _DEGENERATE_SPREAD) & ~flat
     z = deviations / np.where(spread, sd_pop, 1.0)[:, None]
     skewness = np.where(spread, (z**3).mean(axis=1), 0.0)

@@ -1,5 +1,7 @@
 """Evaluation metrics and the statistics used to compare prediction methods.
 
+Quantiles are read by index from sorted values. The signed-rank test refuses
+differences past the float range; Cliff's delta compares, never subtracts.
 The exact signed-rank test counts sign assignments with an integer
 subset-sum table over doubled midranks. The test suite holds it to
 bit-for-bit agreement with a brute-force enumeration that shares none of
@@ -56,38 +58,23 @@ class ConfusionMatrix:
         return cls(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def row_quantiles(rows: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
-    """``np.quantile(rows, quantiles, axis=-1)`` with numpy's default linear
-    rule, bit for bit, for finite values.
+def sorted_quantiles(sorted_rows: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """Quantiles of rows sorted along the last axis, by numpy's default
+    linear rule: ``np.quantile`` bit for bit when no row holds -0.0.
 
-    It makes numpy's own partition call, with the same kth list, and applies
-    numpy's interpolation; it leaves out the NaN check and the ``np.unique``
-    call that would import ``numpy.ma``. The result has one row per quantile.
+    Each quantile is numpy's ``_lerp`` of the two values next to its
+    position, read by index. The result has one row per quantile.
     """
-    n = rows.shape[-1]
-    points = []
+    n = sorted_rows.shape[-1]
+    results = []
     for q in quantiles:
         position = (n - 1) * q
-        # numpy clamps a position at or past the last value to index -1,
-        # and gamma stays position - lo, so it is then at least 1.
-        lo = -1 if position >= n - 1 else int(position)
-        points.append((lo, -1 if lo == -1 else lo + 1, position - lo))
-    kth = sorted({0, -1}.union(*((lo, hi) for lo, hi, _ in points)))
-    part = np.partition(rows, kth, axis=-1)
-    results = []
-    for lo, hi, gamma in points:
-        a, b = part[..., lo], part[..., hi]
-        # numpy's ``_lerp``: interpolate from the nearer end.
+        lo = int(position)
+        gamma = position - lo
+        a, b = sorted_rows[..., lo], sorted_rows[..., min(lo + 1, n - 1)]
+        # Interpolate from the nearer end.
         results.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
     return np.stack(results)
-
-
-def row_median(rows: np.ndarray) -> np.ndarray:
-    """``np.median(rows, axis=-1)`` bit for bit, for finite values: numpy's
-    own kth list and mean, without the NaN check that imports ``numpy.ma``."""
-    n = rows.shape[-1]
-    kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [(n - 1) // 2, -1]
-    return np.partition(rows, kth, axis=-1)[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1)
 
 
 def prf(confusion: ConfusionMatrix) -> tuple[float, float, float]:
@@ -109,20 +96,21 @@ def cliffs_delta(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("cliffs_delta requires non-empty samples")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("cliffs_delta samples must be finite")
-    diff = x[:, None] - y[None, :]
-    greater = int(np.sum(diff > 0))
-    less = int(np.sum(diff < 0))
+    # Compared, not subtracted: a difference could overflow the float range.
+    greater = int(np.sum(x[:, None] > y[None, :]))
+    less = int(np.sum(x[:, None] < y[None, :]))
     return (greater - less) / (x.size * y.size)
 
 
-def _midranks(magnitudes: np.ndarray) -> np.ndarray:
-    """Doubled 1-based ranks, tied values sharing the mean of their positions.
+def _midranks(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled 1-based ranks, tied values sharing the mean of their positions,
+    and the size of each tie group in increasing order of magnitude.
 
     A tie group of ``k`` values ending at position ``c`` has midrank
     ``c - (k - 1) / 2``; doubled, that is the integer ``2c - k + 1``.
     """
     _, inverse, counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
-    return (2 * np.cumsum(counts) - counts + 1)[inverse]
+    return (2 * np.cumsum(counts) - counts + 1)[inverse], counts
 
 
 def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,7 +120,10 @@ def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("paired samples must be one-dimensional, non-empty and equally long")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("paired samples must be finite")
-    diffs = x - y
+    with np.errstate(over="ignore"):
+        diffs = x - y
+    if not np.all(np.isfinite(diffs)):
+        raise ValueError("paired differences must lie within the float range")
     diffs = diffs[diffs != 0.0]
     if diffs.size == 0:
         raise ValueError("degenerate pairing: all differences are zero")
@@ -180,7 +171,7 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
             f"exact signed-rank test takes at most {_EXACT_MAX_PAIRS} effective pairs, "
             f"got {n}; use method 'asymptotic'"
         )
-    doubled = _midranks(np.abs(diffs))
+    doubled, tie_counts = _midranks(np.abs(diffs))
     doubled_w_plus = int(doubled[diffs > 0].sum())
     w_plus = doubled_w_plus / 2
 
@@ -192,7 +183,6 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
         return WilcoxonResult(statistic=w_plus, p_value=p_value, n_effective=n, method_used="exact")
 
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(doubled, return_counts=True)
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / 48.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     z = (w_plus - mean) / math.sqrt(variance)

@@ -154,8 +154,8 @@ def _indicator_values(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("instance contains non-finite values")
     # Sorting first makes every indicator exactly permutation invariant;
-    # summation order otherwise leaks into the low bits.
-    v = np.sort(values)
+    # summation order otherwise leaks into the low bits. -0.0 counts as 0.0.
+    v = np.sort(values) + 0.0
     n = v.size
 
     minimum = float(v[0])

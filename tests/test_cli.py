@@ -298,6 +298,18 @@ class TestCompare:
         path.write_text("a,b\n0.5,0.4\n0.6,0.3\n0.7,0.6\n", encoding="utf-8")
         assert main(["compare", "--csv", str(path)]) == EXIT_OK
 
+    @pytest.mark.filterwarnings("error")
+    def test_difference_past_the_float_range_exits_2_naming_the_row(self, tmp_path, capsys):
+        # Each overflowing difference would become inf and tie with the others.
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "a,b\n1e308,-1e308\n-1e308,1e308\n0.5,0.25\n0.1,0.3\n0.7,0.2\n", encoding="utf-8"
+        )
+        assert main(["compare", "--csv", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {path}: data row 1: 'a' - 'b' overflows the float range\n"
+        assert captured.out == ""
+
     def test_both_sources_rejected(self, report_dir, tmp_path, capsys):
         path = tmp_path / "scores.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -50,8 +50,10 @@ from cpdp_ifs.predictors import (
 from cpdp_ifs.profiles import characterize_project
 from cpdp_ifs.stats import ConfusionMatrix
 
+import paper_corpus
 from checks import report_digest
 from oracles import reference_best_sources
+from run import WORKLOADS
 from synth import corpus_projects, load_model, planted_project, write_corpus, write_project_csv
 
 
@@ -791,6 +793,19 @@ class TestWriteReport:
                 assert hashlib.sha256((corpus / name).read_bytes()).hexdigest() == digest, name
         write_report(run_plan(load_config(corpus / "config.json")), tmp_path / "report")
         assert report_digest(tmp_path / "report") == golden["reports"]["demo"]
+
+    def test_paper_report_matches_bench_golden_digest(self, tmp_path):
+        # The benchmark's paper-shaped corpus at its seed: rows 20, 61 and 26
+        # wide, and 13 targets on the asymptotic signed-rank branch.
+        repo = Path(__file__).resolve().parents[1]
+        golden = json.loads((repo / "bench" / "golden.json").read_text(encoding="utf-8"))
+        methods = list(WORKLOADS["paper"].methods)
+        config = paper_corpus.write_corpus(tmp_path / "paper", golden["seed"], methods, "report")
+        for name, digest in golden["inputs"]["paper"].items():
+            if name != "config.json":  # it names the output directory
+                assert hashlib.sha256((config.parent / name).read_bytes()).hexdigest() == digest, name
+        write_report(run_plan(load_config(config)), tmp_path / "report")
+        assert report_digest(tmp_path / "report") == golden["reports"]["paper"]
 
     def test_degenerate_report_matches_digest(self, tmp_path):
         projects = degenerate_projects()

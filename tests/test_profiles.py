@@ -119,6 +119,11 @@ class TestCharacterizeInstance:
         assert d["variance"] == 0.0
         assert d["variation_ratio"] == 0.0
 
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, 1.0, 2.0, -0.0], [-0.0, 0.0, -0.0, 3.0]])
+    def test_negative_zero_profiles_as_zero(self, values):
+        zeroed = [v + 0.0 for v in values]
+        assert characterize_instance(values).tobytes() == characterize_instance(zeroed).tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty instance"):
             characterize_instance([])

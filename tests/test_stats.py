@@ -16,8 +16,7 @@ from cpdp_ifs.stats import (
     compare_paired,
     pearson,
     prf,
-    row_median,
-    row_quantiles,
+    sorted_quantiles,
     wilcoxon_signed_rank,
     _midranks,
     _student_t_two_sided_p,
@@ -89,8 +88,9 @@ class TestConfusionMatrix:
         )
 
 
-# Finite values with signed zeros, ties, subnormals and extremes, where a
-# different kth list or interpolation order would show in the bits.
+# Finite values with ties, subnormals and extremes, where a different index
+# or interpolation order would show in the bits. The helper takes sorted rows
+# without -0.0, so each drawn row is sorted and its zeros made +0.0.
 ORDER_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -98,7 +98,7 @@ ORDER_VALUES = st.one_of(
 
 
 class TestRowOrderStatistics:
-    """The helpers are numpy's quantile and median, bit for bit."""
+    """On sorted rows, the helper is numpy's quantile, bit for bit."""
 
     @given(
         arrays(
@@ -106,36 +106,30 @@ class TestRowOrderStatistics:
             st.tuples(st.integers(1, 4), st.integers(1, 70)),
             elements=ORDER_VALUES,
         ),
-        st.booleans(),
     )
-    def test_matrices_match_numpy(self, rows, presorted):
-        if presorted:
-            rows = np.sort(rows, axis=1)
+    def test_matrices_match_numpy(self, rows):
+        rows = np.sort(rows, axis=1) + 0.0
         with np.errstate(all="ignore"):
-            for q in (0.25, 0.75):
-                want = np.quantile(rows, q, axis=1)
-                assert row_quantiles(rows, (q,))[0].tobytes() == want.tobytes()
-            assert row_median(rows).tobytes() == np.median(rows, axis=1).tobytes()
+            got = sorted_quantiles(rows, (0.25, 0.75))
+            for q, row in zip((0.25, 0.75), got):
+                assert row.tobytes() == np.quantile(rows, q, axis=1).tobytes()
 
     @given(arrays(float, st.integers(1, 70), elements=ORDER_VALUES))
     def test_boxplot_quartiles_match_numpy(self, row):
+        row = np.sort(row) + 0.0
         with np.errstate(all="ignore"):
-            got = row_quantiles(row, (0.25, 0.5, 0.75))
+            got = sorted_quantiles(row, (0.25, 0.5, 0.75))
             want = np.quantile(row, (0.25, 0.5, 0.75))
         assert got.tobytes() == want.tobytes()
 
     def test_one_value(self):
-        # n = 1 clamps every position to the last value, with gamma 1.
-        row = np.array([-0.0])
-        assert row_quantiles(row, (0.25, 0.5, 0.75)).tobytes() == np.full(3, -0.0).tobytes()
-        # The median is a mean, whose sum starts from +0.0, as in np.median.
-        assert row_median(row[None, :]).tobytes() == np.median(row[None, :], axis=1).tobytes()
-        assert row_median(row[None, :]).tobytes() == np.array([0.0]).tobytes()
+        # Every position is 0, the one value.
+        row = np.array([2.5])
+        assert sorted_quantiles(row, (0.0, 0.25, 0.5, 0.75, 1.0)).tolist() == [2.5] * 5
 
     def test_linear_rule(self):
-        rows = np.array([[4.0, 1.0, 3.0, 2.0]])
-        assert row_quantiles(rows, (0.25, 0.5, 0.75))[:, 0].tolist() == [1.75, 2.5, 3.25]
-        assert row_median(rows).tolist() == [2.5]
+        rows = np.array([[1.0, 2.0, 3.0, 4.0]])
+        assert sorted_quantiles(rows, (0.25, 0.5, 0.75))[:, 0].tolist() == [1.75, 2.5, 3.25]
 
 
 class TestPrf:
@@ -205,6 +199,11 @@ class TestCliffsDelta:
         with pytest.raises(ValueError, match="finite"):
             cliffs_delta([1.0, 2.0], [0.5, bad])
 
+    def test_extremes_compare_without_overflow(self):
+        with np.errstate(all="raise"):
+            assert cliffs_delta([1e308, -1e308], [-1e308, 1e308]) == 0.0
+            assert cliffs_delta([1e308], [-1e308, 0.0]) == 1.0
+
     @given(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=15),
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=15),
@@ -248,6 +247,15 @@ class TestWilcoxonExactGoldens:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             wilcoxon_signed_rank([1.0], [0.0], method="bogus")
+
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_differences_past_the_float_range_rejected(self, method):
+        # Each overflowing difference would become inf and tie with the others.
+        x = [1e308, -1e308, 0.5, 0.1, 0.7]
+        y = [-1e308, 1e308, 0.25, 0.3, 0.2]
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="paired differences must lie within the float range"):
+                wilcoxon_signed_rank(x, y, method=method)
 
     def test_exact_refuses_more_than_200_pairs_before_building_a_table(self, monkeypatch):
         monkeypatch.setattr(stats, "_exact_two_sided_p", lambda *args: pytest.fail("table built"))
@@ -437,9 +445,12 @@ class TestScipyStatsParity:
     def test_midranks_match_rankdata_bitwise(self, values):
         magnitudes = np.array(values)
         expected = scipy.stats.rankdata(magnitudes, method="average")
-        doubled = _midranks(magnitudes)
+        doubled, tie_counts = _midranks(magnitudes)
         assert doubled.dtype.kind == "i"
         assert np.array_equal(doubled, 2 * expected)
+        # One count per tie group, in increasing order of magnitude.
+        _, want_counts = np.unique(doubled, return_counts=True)
+        assert tie_counts.tolist() == want_counts.tolist()
 
     def test_pearson_p_matches_t_sf_to_six_decimals(self):
         # dpr_analysis.csv writes p with six decimals.
