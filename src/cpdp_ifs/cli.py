@@ -11,7 +11,8 @@ setting is a config key. Exit codes: 0 success, 1 config/usage error,
 Each command imports the modules it needs when it runs, so neither ``ingest``
 nor ``dpr`` loads numpy. A fault in a score table that ``compare`` or ``box``
 reads names the file, with :func:`~cpdp_ifs.corpus.located` around each
-reader, and the data row, with the same around each row of a column.
+reader, and the data row, with the same around each row of a column, or the
+target whose two scores ``compare --results`` pairs.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float
 def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[float]]:
     if not (args.method_a and args.method_b):
         raise ConfigError("--results needs --method-a and --method-b")
+    if args.method_a == args.method_b:
+        raise ConfigError(f"--method-a and --method-b must differ, not {args.method_a!r} twice")
     path = Path(args.results) / "best_per_target.csv"
     scores: dict[str, dict[str, float]] = {}
     with located(path):
@@ -200,7 +203,15 @@ def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[f
         common = sorted(set(scores[args.method_a]) & set(scores[args.method_b]))
         if not common:
             raise DataFormatError("no common targets for the two methods")
-    return [scores[args.method_a][t] for t in common], [scores[args.method_b][t] for t in common]
+        x = [scores[args.method_a][t] for t in common]
+        y = [scores[args.method_b][t] for t in common]
+        for target, a, b in zip(common, x, y):
+            with located(f"target {target!r}"):
+                if not math.isfinite(a - b):
+                    raise DataFormatError(
+                        f"{args.method_a!r} - {args.method_b!r} overflows the float range"
+                    )
+        return x, y
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
@@ -12,7 +11,13 @@ import pytest
 from cpdp_ifs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 from cpdp_ifs.profiles import INDICATOR_NAMES
 
+import indicator_weights
 from synth import corpus_projects, write_corpus, write_project_csv
+
+# Every command runs in this process, through main, so a numpy RuntimeWarning
+# that a child would have printed to stderr fails the test instead, and so
+# does an exception that escapes main.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +35,53 @@ def report_dir(corpus_dir, tmp_path_factory):
     return out
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "cpdp_ifs.cli", *args], capture_output=True, text=True
-    )
+# Run as ``python -c MODULE_RECORD RECORD_PATH COMMAND ARGS...``: it runs the
+# command through main and writes its status and the modules loaded after
+# ``import cpdp_ifs.cli`` and after main to RECORD_PATH, so that stdout stays
+# the command's own.
+MODULE_RECORD = (
+    "import sys, cpdp_ifs.cli\n"
+    "loaded = {'after_import': sorted(sys.modules)}\n"
+    "status = cpdp_ifs.cli.main(sys.argv[2:])\n"
+    "loaded['after_main'] = sorted(sys.modules)\n"
+    "import json\n"
+    "with open(sys.argv[1], 'w', encoding='utf-8') as record:\n"
+    "    json.dump({'status': status, **loaded}, record)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def command_child(corpus_dir, tmp_path_factory):
+    """Each command run once in a ``MODULE_RECORD`` child of its own, by name,
+    for the tests that check which modules a command loads; a second request
+    reuses the record, with the child's argv and stdout added."""
+    tmp = tmp_path_factory.mktemp("command_children")
+    config = ["--config", str(corpus_dir / "config.json")]
+    scores = tmp / "vals.csv"
+    scores.write_text("method,f_measure\nx,0.5\nx,0.25\nx,1\ny,0\n", encoding="utf-8")
+    argvs = {
+        "run": ["run", *config, "--out", str(tmp / "report")],
+        "ingest": ["ingest", *config],
+        "dpr": ["dpr", *config, "--source", "fam_a_p0", "--target", "fam_b_p1"],
+        "compare": ["compare", "--csv", str(corpus_dir / "fam_a_p0.csv"),
+                    "--x-col", "loc", "--y-col", "cbo"],
+        "box": ["box", "--csv", str(scores)],
+    }
+    records = {}
+
+    def child(command):
+        if command not in records:
+            path = tmp / f"{command}.json"
+            result = subprocess.run(
+                [sys.executable, "-c", MODULE_RECORD, str(path), *argvs[command]],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            records[command] = {**json.loads(path.read_text(encoding="utf-8")),
+                                "argv": argvs[command], "stdout": result.stdout}
+        return records[command]
+
+    return child
 
 
 class TestIngest:
@@ -101,14 +149,14 @@ class TestIngest:
             ),
         ],
     )
-    def test_malformed_dataset_exits_2_without_traceback(self, tmp_path, name, text, message):
+    def test_malformed_dataset_exits_2_without_traceback(
+        self, tmp_path, capsys, name, text, message
+    ):
         (tmp_path / name).write_bytes(text.encode("utf-8"))
         config = {"datasets": [{"name": "p", "path": name}]}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        result = run_cli("ingest", "--config", str(tmp_path / "config.json"))
-        assert result.returncode == EXIT_DATA
-        assert result.stderr == f"data error: dataset 'p': {tmp_path / name}: {message}\n"
-        assert "Traceback" not in result.stderr
+        assert main(["ingest", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: dataset 'p': {tmp_path / name}: {message}\n"
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
     @pytest.mark.parametrize(
@@ -151,14 +199,14 @@ class TestIngest:
             ),
         ],
     )
-    def test_repeated_selected_column_exits_2_without_traceback(self, tmp_path, name, text, message):
+    def test_repeated_selected_column_exits_2_without_traceback(
+        self, tmp_path, capsys, name, text, message
+    ):
         (tmp_path / name).write_text(text, encoding="utf-8")
         config = {"datasets": [{"name": "p", "path": name, "feature_names": ["loc", "cbo"]}]}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        result = run_cli("ingest", "--config", str(tmp_path / "config.json"))
-        assert result.returncode == EXIT_DATA
-        assert message in result.stderr
-        assert "Traceback" not in result.stderr
+        assert main(["ingest", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestRun:
@@ -202,7 +250,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert "no common metrics" in err
 
-    def test_target_statistics_past_the_float_range_fail_the_pair(self, tmp_path):
+    def test_target_statistics_past_the_float_range_fail_the_pair(self, tmp_path, capsys):
         # The mean of b's loc overflows; unchecked, it would give NaN
         # probabilities and so an all-clean confusion matrix for a->b.
         (tmp_path / "a.csv").write_text("loc,cbo,bug\n1,2,0\n2,3,1\n3,1,0\n4,5,1\n", "utf-8")
@@ -216,9 +264,8 @@ class TestRun:
             "output_dir": str(tmp_path / "rep"),
         }
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        result = run_cli("run", "--config", str(tmp_path / "config.json"))
-        assert result.returncode == EXIT_PARTIAL
-        assert sorted(result.stderr.splitlines()) == [
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_PARTIAL
+        assert sorted(capsys.readouterr().err.splitlines()) == [
             f"failed: ifs_min {pair}: column statistics overflow the float range"
             for pair in ("a->b", "b->a")
         ]
@@ -231,18 +278,11 @@ class TestRun:
             assert code == EXIT_CONFIG
             assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_wrongly_typed_config_exits_1_without_traceback(self, tmp_path):
+    def test_wrongly_typed_config_exits_1_without_traceback(self, tmp_path, capsys):
         config = {"datasets": [{"name": "a", "path": "a.csv", "alias_map": 5}]}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "cpdp_ifs.cli", "run", "--config",
-             str(tmp_path / "config.json")],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == EXIT_CONFIG
-        assert "config error: datasets[0].alias_map" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        assert "config error: datasets[0].alias_map" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text('{"surprise": 1}', encoding="utf-8")
@@ -298,7 +338,6 @@ class TestCompare:
         path.write_text("a,b\n0.5,0.4\n0.6,0.3\n0.7,0.6\n", encoding="utf-8")
         assert main(["compare", "--csv", str(path)]) == EXIT_OK
 
-    @pytest.mark.filterwarnings("error")
     def test_difference_past_the_float_range_exits_2_naming_the_row(self, tmp_path, capsys):
         # Each overflowing difference would become inf and tie with the others.
         path = tmp_path / "scores.csv"
@@ -341,19 +380,18 @@ class TestCompare:
         assert "no rows for method" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", ["method", "target", "f_measure"])
-    def test_results_missing_column_exits_2(self, tmp_path, column):
+    def test_results_missing_column_exits_2(self, tmp_path, capsys, column):
         header = ["method", "target", "source", "f_measure"]
         rows = [["cpdp_pure", "t", "s", "0.5"], ["ifs_our", "t", "s", "0.4"]]
         keep = [i for i, name in enumerate(header) if name != column]
         lines = [",".join(row[i] for i in keep) for row in [header, *rows]]
         (tmp_path / "best_per_target.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        result = run_cli("compare", "--results", str(tmp_path),
-                         "--method-a", "cpdp_pure", "--method-b", "ifs_our")
-        assert result.returncode == EXIT_DATA
-        assert f"column {column!r} not found" in result.stderr
-        assert "Traceback" not in result.stderr
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_DATA
+        assert f"column {column!r} not found" in capsys.readouterr().err
 
-    def test_results_duplicate_row_exits_2(self, tmp_path):
+    def test_results_duplicate_row_exits_2(self, tmp_path, capsys):
         lines = [
             "method,target,source,f_measure",
             "cpdp_pure,t1,s,0.5",
@@ -364,12 +402,37 @@ class TestCompare:
         ]
         path = tmp_path / "best_per_target.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        result = run_cli("compare", "--results", str(tmp_path),
-                         "--method-a", "cpdp_pure", "--method-b", "ifs_our")
-        assert result.returncode == EXIT_DATA
-        assert str(path) in result.stderr
-        assert "two rows for method 'cpdp_pure' and target 't2'" in result.stderr
-        assert "Traceback" not in result.stderr
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "cpdp_pure",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "two rows for method 'cpdp_pure' and target 't2'" in err
+
+    def test_results_difference_past_the_float_range_exits_2_naming_the_target(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "best_per_target.csv"
+        path.write_text(
+            "method,target,source,precision,recall,f_measure\n"
+            "a,t0,s,0,0,0.5\nb,t0,s,0,0,0.25\na,t1,s,0,0,1e308\nb,t1,s,0,0,-1e308\n",
+            encoding="utf-8",
+        )
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "a", "--method-b", "b"]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"data error: {path}: target 't1': 'a' - 'b' overflows the float range\n"
+        )
+        assert captured.out == ""
+
+    def test_results_same_method_twice_exits_1(self, report_dir, capsys):
+        argv = ["compare", "--results", str(report_dir), "--method-a", "ifs_our",
+                "--method-b", "ifs_our"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --method-a and --method-b must differ, not 'ifs_our' twice\n"
+        )
 
     def test_degenerate_pairing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
@@ -540,24 +603,23 @@ class TestBox:
         assert code == EXIT_DATA
         assert "not found" in capsys.readouterr().err
 
-    def test_short_row_exits_2(self, tmp_path):
+    def test_short_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "vals.csv"
         path.write_text("method,f_measure\nx,1.0\ny\n", encoding="utf-8")
-        result = run_cli("box", "--csv", str(path))
-        assert result.returncode == EXIT_DATA
-        assert f"{path}: data row 2: missing value in column 'f_measure'" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert main(["box", "--csv", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}: data row 2: missing value in column 'f_measure'" in err
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         assert main(["box", "--csv", "x.csv", "--results", "y"]) == EXIT_CONFIG
 
-    def test_span_past_the_float_range_exits_2_naming_the_group(self, tmp_path):
+    def test_span_past_the_float_range_exits_2_naming_the_group(self, tmp_path, capsys):
         path = tmp_path / "vals.csv"
         path.write_text("method,f_measure\nx,0.5\ny,1e308\ny,-1e308\n", encoding="utf-8")
-        result = run_cli("box", "--csv", str(path))
-        assert result.returncode == EXIT_DATA
-        assert result.stderr == "data error: group 'y' spans more than the float range\n"
-        assert result.stdout == ""
+        assert main(["box", "--csv", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "data error: group 'y' spans more than the float range\n"
+        assert captured.out == ""
 
     def test_extra_cell_exits_2(self, tmp_path, capsys):
         # A lookup by column would ignore the cells beyond the header.
@@ -650,104 +712,63 @@ class TestUsage:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["ingest"]) == EXIT_CONFIG
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import cpdp_ifs.cli, sys; assert 'scipy.stats' not in sys.modules"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+    def test_import_leaves_scipy_stats_unloaded(self, command_child):
+        for command in ("run", "ingest", "dpr", "compare", "box"):
+            assert "scipy.stats" not in command_child(command)["after_import"], command
 
-    # Run after a command: it exits 0 and loaded neither scipy, numpy.ma nor
-    # hashlib's OpenSSL backend.
-    UNLOADED_CHECK = (
-        "import sys, cpdp_ifs.cli\n"
-        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
-        "unwanted = ('scipy', 'numpy.ma', 'hashlib', '_hashlib')\n"
-        "loaded = [m for m in sys.modules if m in unwanted or m.startswith('scipy.')]\n"
-        "assert status == 0 and not loaded, (status, sorted(loaded))\n"
-    )
+    # A command that exits 0 and loaded neither scipy, numpy.ma nor hashlib's
+    # OpenSSL backend.
+    @staticmethod
+    def assert_unwanted_unloaded(record):
+        unwanted = {"scipy", "numpy.ma", "hashlib", "_hashlib"}
+        loaded = sorted(m for m in record["after_main"]
+                        if m in unwanted or m.startswith("scipy."))
+        assert record["status"] == EXIT_OK and not loaded, (record["status"], loaded)
 
-    def test_run_loads_no_scipy_module(self, corpus_dir, tmp_path):
-        argv = ["run", "--config", str(corpus_dir / "config.json"), "--out", str(tmp_path)]
-        result = subprocess.run(
-            [sys.executable, "-c", self.UNLOADED_CHECK, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert (tmp_path / "manifest.json").exists()
+    def test_run_loads_no_scipy_module(self, command_child):
+        record = command_child("run")
+        self.assert_unwanted_unloaded(record)
+        out = record["argv"][record["argv"].index("--out") + 1]
+        assert (Path(out) / "manifest.json").exists()
 
-    def test_ingest_loads_no_openssl(self, corpus_dir):
-        argv = ["ingest", "--config", str(corpus_dir / "config.json")]
-        result = subprocess.run(
-            [sys.executable, "-c", self.UNLOADED_CHECK, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout
+    def test_ingest_loads_no_openssl(self, command_child):
+        record = command_child("ingest")
+        self.assert_unwanted_unloaded(record)
+        assert record["stdout"]
 
-    def test_box_loads_no_numpy_ma(self, tmp_path):
-        path = tmp_path / "vals.csv"
-        path.write_text("method,f_measure\nx,0.5\nx,0.25\nx,1\ny,0\n", encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-c", self.UNLOADED_CHECK, "box", "--csv", str(path)],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("group,n,minimum")
-
-    # Run after any command but run: it exits 0 and loaded no thread pool,
-    # so neither concurrent.futures nor the logging it imports.
-    NO_POOL_CHECK = (
-        "import sys, cpdp_ifs.cli\n"
-        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
-        "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
-        "assert status == 0 and not loaded, (status, loaded)\n"
-    )
+    def test_box_loads_no_numpy_ma(self, command_child):
+        record = command_child("box")
+        self.assert_unwanted_unloaded(record)
+        assert record["stdout"].startswith("group,n,minimum")
 
     @pytest.mark.parametrize("command", ["ingest", "dpr", "compare", "box"])
-    def test_only_run_loads_the_thread_pool(self, corpus_dir, tmp_path, command):
-        config = ["--config", str(corpus_dir / "config.json")]
-        scores = tmp_path / "scores.csv"
-        scores.write_text("method,f_measure\nx,0.5\nx,0.25\ny,0.75\n", encoding="utf-8")
-        argv = {
-            "ingest": ["ingest", *config],
-            "dpr": ["dpr", *config, "--source", "fam_a_p0", "--target", "fam_b_p1"],
-            "compare": ["compare", "--csv", str(corpus_dir / "fam_a_p0.csv"),
-                        "--x-col", "loc", "--y-col", "cbo"],
-            "box": ["box", "--csv", str(scores)],
-        }[command]
-        result = subprocess.run(
-            [sys.executable, "-c", self.NO_POOL_CHECK, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout
+    def test_only_run_loads_the_thread_pool(self, command_child, command):
+        # No thread pool, so neither concurrent.futures nor the logging it imports.
+        record = command_child(command)
+        loaded = [m for m in ("concurrent.futures", "logging") if m in record["after_main"]]
+        assert record["status"] == EXIT_OK and not loaded, (record["status"], loaded)
+        assert record["stdout"]
 
-    # Run with a command's arguments: importing the CLI loads no numpy, and
-    # after the command exits 0 neither numpy nor any package module beyond
-    # cli, config and corpus is loaded.
-    NO_NUMPY_CHECK = (
-        "import sys, cpdp_ifs.cli\n"
-        "assert 'numpy' not in sys.modules, 'import cpdp_ifs.cli loaded numpy'\n"
-        "status = cpdp_ifs.cli.main(sys.argv[1:])\n"
-        "allowed = {'cpdp_ifs', 'cpdp_ifs.cli', 'cpdp_ifs.config', 'cpdp_ifs.corpus'}\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'cpdp_ifs')\n"
-        "                and m not in allowed)\n"
-        "assert status == 0 and not loaded, (status, loaded)\n"
-    )
+    # Importing the CLI loads no numpy, and after the command exits 0 neither
+    # numpy nor any package module beyond cli, config and corpus is loaded.
+    @staticmethod
+    def assert_no_numpy(record):
+        assert "numpy" not in record["after_import"], "import cpdp_ifs.cli loaded numpy"
+        allowed = {"cpdp_ifs", "cpdp_ifs.cli", "cpdp_ifs.config", "cpdp_ifs.corpus"}
+        loaded = sorted(m for m in record["after_main"]
+                        if m.split(".")[0] in ("numpy", "cpdp_ifs") and m not in allowed)
+        assert record["status"] == EXIT_OK and not loaded, (record["status"], loaded)
 
-    def test_ingest_loads_no_numpy(self, corpus_dir):
-        argv = ["ingest", "--config", str(corpus_dir / "config.json")]
-        result = subprocess.run(
-            [sys.executable, "-c", self.NO_NUMPY_CHECK, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert len(result.stdout.splitlines()) == 8
+    def test_ingest_loads_no_numpy(self, command_child):
+        record = command_child("ingest")
+        self.assert_no_numpy(record)
+        assert len(record["stdout"].splitlines()) == 8
 
-    def test_dpr_loads_no_numpy(self, corpus_dir):
-        argv = ["dpr", "--config", str(corpus_dir / "config.json"),
-                "--source", "fam_a_p0", "--target", "fam_b_p1"]
-        result = subprocess.run(
-            [sys.executable, "-c", self.NO_NUMPY_CHECK, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
+    def test_dpr_loads_no_numpy(self, command_child):
+        record = command_child("dpr")
+        self.assert_no_numpy(record)
         # The bytes of the route that built both projects with numpy.
-        assert result.stdout == "dpr=0.945455\nlow_dpr=false (threshold 0.64)\n"
+        assert record["stdout"] == "dpr=0.945455\nlow_dpr=false (threshold 0.64)\n"
 
     @staticmethod
     def _records() -> dict[str, dict[str, type]]:
@@ -852,6 +873,53 @@ class TestUsage:
         }
         assert users == set()
 
+    # Each test that starts a child interpreter, by file and the qualified name
+    # of its enclosing class or function, and why the process is the claim.
+    CHILD_STARTERS = {
+        # Which modules a command loads: one child per command.
+        ("test_cli.py", "command_child"),
+        # The console script as a shell starts it.
+        ("test_cli.py", "TestUsage.test_console_script_help"),
+        # An import without the built-in SHA-256 modules.
+        ("test_experiment.py", "TestConfigHash.test_hashlib_fallback_gives_pinned_digest"),
+        # entrypoint's exit status and gc.freeze(), on a golden run and faults.
+        ("test_experiment.py", "TestCliChild"),
+        # The benchmark's wrappers patch module globals.
+        ("test_experiment.py", "TestBenchLayers"),
+    }
+
+    def test_only_listed_tests_start_a_child(self):
+        # A child interpreter costs 0.1-0.3 s, so a command's exit code and
+        # messages are checked through main; a new child needs a line above.
+        import ast
+
+        starters = {"run", "Popen", "call", "check_call", "check_output"}
+
+        def starts(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from starts(child, f"{scope}.{child.name}" if scope else child.name)
+                    continue
+                if (isinstance(child, ast.ImportFrom) and child.module == "subprocess") or (
+                    isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "subprocess" and child.func.attr in starters
+                ):
+                    yield scope, child.lineno
+                yield from starts(child, scope)
+
+        used, unlisted = set(), []
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            for scope, line in starts(ast.parse(path.read_text(encoding="utf-8")), ""):
+                entry = next((e for e in self.CHILD_STARTERS if e[0] == path.name and (
+                    scope == e[1] or scope.startswith(e[1] + "."))), None)
+                if entry is None:
+                    unlisted.append(f"{path.name}:{line} {scope}")
+                else:
+                    used.add(entry)
+        assert not unlisted, f"child processes outside CHILD_STARTERS: {unlisted}"
+        assert used == self.CHILD_STARTERS
+
     def test_readme_examples_run(self, capsys):
         from cpdp_ifs.experiment import parse_config
 
@@ -876,8 +944,10 @@ class TestUsage:
 
 class TestIndicatorWeights:
     @staticmethod
-    def run_script(tmp_path, projects, *args):
-        repo = Path(__file__).resolve().parents[1]
+    def run_script(tmp_path, monkeypatch, projects, *args):
+        """``indicator_weights.main()`` on ``projects``, with the ``sys.argv``
+        that ``python3 scripts/indicator_weights.py`` gives it."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "indicator_weights.py"
         specs = []
         for project in projects:
             write_project_csv(tmp_path / f"{project.name}.csv", project)
@@ -889,41 +959,36 @@ class TestIndicatorWeights:
                 }
             )
         (tmp_path / "config.json").write_text(json.dumps({"datasets": specs}), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-        return subprocess.run(
-            [sys.executable, str(repo / "scripts" / "indicator_weights.py"),
-             "--config", str(tmp_path / "config.json"), *args],
-            capture_output=True,
-            text=True,
-            env=env,
+        monkeypatch.setattr(
+            sys, "argv", [str(script), "--config", str(tmp_path / "config.json"), *args]
         )
+        return indicator_weights.main()
 
-    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path):
+    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path, monkeypatch, capsys):
         projects = [p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0")]
         one = corpus_projects()[-1]
         projects.append(
             dataclasses.replace(one, name="tiny", matrix=one.matrix[:1], labels=one.labels[:1])
         )
-        result = self.run_script(tmp_path, projects)
-        assert result.returncode == 0, result.stderr
-        assert "Traceback" not in result.stderr
-        skipped = sorted(line for line in result.stderr.splitlines() if line.startswith("skipped"))
+        assert self.run_script(tmp_path, monkeypatch, projects) == 0
+        captured = capsys.readouterr()
+        skipped = sorted(line for line in captured.err.splitlines() if line.startswith("skipped"))
         assert skipped == [
             f"skipped {pair}: insufficient rows for normalization (need at least 2)"
             for pair in ("fam_a_p0->tiny", "fam_b_p0->tiny", "tiny->fam_a_p0", "tiny->fam_b_p0")
         ]
-        assert result.stdout.splitlines()[0] == "pairs scored: 2"
+        assert captured.out.splitlines()[0] == "pairs scored: 2"
 
-    def test_one_scored_pair_leaves_the_sd_empty(self, tmp_path):
+    def test_one_scored_pair_leaves_the_sd_empty(self, tmp_path, monkeypatch, capsys):
         source, target = (p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0"))
         single_class = dataclasses.replace(target, labels=np.zeros_like(target.labels))
-        result = self.run_script(tmp_path, [source, single_class])
-        assert result.returncode == 0, result.stderr
-        assert result.stderr.splitlines() == [
+        assert self.run_script(tmp_path, monkeypatch, [source, single_class]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             "skipped fam_b_p0->fam_a_p0: "
             "degenerate training set: all labels belong to one class"
         ]
-        lines = result.stdout.splitlines()
+        lines = captured.out.splitlines()
         assert lines[0] == "pairs scored: 1"
         assert len(lines) == 2 + len(INDICATOR_NAMES)
         for line in lines[2:]:
@@ -931,10 +996,12 @@ class TestIndicatorWeights:
             assert "nan" not in line
 
     @pytest.mark.parametrize("top", ["0", "-14"])
-    def test_top_below_1_is_a_usage_error(self, tmp_path, top):
-        result = self.run_script(tmp_path, [], "--top", top)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr.splitlines()[-1] == (
+    def test_top_below_1_is_a_usage_error(self, tmp_path, monkeypatch, capsys, top):
+        with pytest.raises(SystemExit) as exit_:
+            self.run_script(tmp_path, monkeypatch, [], "--top", top)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
             f"indicator_weights.py: error: --top must be at least 1, not {top}"
         )

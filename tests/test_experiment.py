@@ -50,6 +50,7 @@ from cpdp_ifs.predictors import (
 from cpdp_ifs.profiles import characterize_project
 from cpdp_ifs.stats import ConfusionMatrix
 
+import make_demo_corpus
 import paper_corpus
 from checks import report_digest
 from oracles import reference_best_sources
@@ -776,18 +777,16 @@ class TestWriteReport:
         write_report(bundle, tmp_path / "report")
         assert report_digest(tmp_path / "report") == GOLDEN_REPORT_DIGEST
 
-    def test_demo_report_matches_bench_golden_digest(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_demo_report_matches_bench_golden_digest(self, tmp_path, monkeypatch):
         # The README's demo corpus at the benchmark's seed: one ARFF file
         # and workers 2. bench/golden.json records its input and report digests.
         repo = Path(__file__).resolve().parents[1]
         golden = json.loads((repo / "bench" / "golden.json").read_text(encoding="utf-8"))
         corpus = tmp_path / "demo"
-        subprocess.run(
-            [sys.executable, str(repo / "scripts" / "make_demo_corpus.py"),
-             "--out", str(corpus), "--seed", str(golden["seed"])],
-            check=True,
-            capture_output=True,
-        )
+        monkeypatch.setattr(sys, "argv", [str(repo / "scripts" / "make_demo_corpus.py"),
+                                          "--out", str(corpus), "--seed", str(golden["seed"])])
+        assert make_demo_corpus.main() == 0
         for name, digest in golden["inputs"]["demo"].items():
             if name != "config.json":  # it names the output directory
                 assert hashlib.sha256((corpus / name).read_bytes()).hexdigest() == digest, name
@@ -1096,6 +1095,25 @@ class TestCliChild:
             f"failed: {method} {source}->{target}: {error}"
             for method, source, target, error in DEGENERATE_FAILURES
         ]
+
+    @pytest.mark.parametrize("fault", ["ill-typed config key", "malformed data set"])
+    def test_child_exits_with_main_status_and_stderr(self, tmp_path, capsys, fault):
+        data = tmp_path / "p.csv"
+        data.write_text("a,b,bug\n1,2,0\n3,inf,1\n", encoding="utf-8")
+        spec = {"name": "p", "path": "p.csv"}
+        if fault == "ill-typed config key":
+            spec["alias_map"] = 5
+            status, stderr = 1, "config error: datasets[0].alias_map must be an object, not 5\n"
+        else:
+            status, stderr = 2, (
+                f"data error: dataset 'p': {data}: data row 2: non-finite value 'inf' in column 'b'\n"
+            )
+        (tmp_path / "config.json").write_text(json.dumps({"datasets": [spec]}), encoding="utf-8")
+        argv = ["ingest", "--config", str(tmp_path / "config.json")]
+        result = self.child(*argv)
+        assert (result.returncode, result.stderr) == (status, stderr)
+        assert cli_main(argv) == status
+        assert capsys.readouterr().err == stderr
 
 
 class TestBenchLayers:
