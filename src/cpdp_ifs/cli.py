@@ -172,6 +172,8 @@ def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float
         y_col = args.y_col or (header[1] if len(header) > 1 else None)
         if y_col is None:
             raise DataFormatError("need two columns for a paired comparison")
+        if x_col == y_col:
+            raise ConfigError(f"--x-col and --y-col must name two columns, not {x_col!r} twice")
         x, y = _column(header, rows, x_col), _column(header, rows, y_col)
         for i, (a, b) in enumerate(zip(x, y), start=1):
             with located(f"data row {i}"):

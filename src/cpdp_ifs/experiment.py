@@ -8,8 +8,7 @@ predictions. ``run_plan`` returns all of it as a ``ReportBundle``, and
 ``write_report(bundle, out_dir)`` writes a deterministic report directory:
 identical config plus identical data yields byte-identical CSVs (rows
 sorted, floats fixed to six decimals, manifest free of timestamps). The
-config types and reader live in ``cpdp_ifs.config`` and can be imported
-from here too.
+config types and reader live in ``cpdp_ifs.config``.
 """
 
 from __future__ import annotations
@@ -29,14 +28,10 @@ import numpy as np
 from cpdp_ifs import __version__
 from cpdp_ifs.config import (
     ConfigError,
-    DataError,
-    DatasetSpec,
     ExperimentConfig,
     Method,
     config_hash,
-    load_config,
     load_datasets,
-    parse_config,
 )
 from cpdp_ifs.corpus import (
     DPR_APPROPRIATE_MAX, DPR_IMPROVEMENT_THRESHOLD, DatasetSummary, Project, dpr, load_arff,

@@ -221,11 +221,6 @@ def apply_threshold(probabilities: np.ndarray, threshold: float) -> np.ndarray:
     return (probabilities >= threshold).astype(np.int8)
 
 
-def coefficient_magnitudes(model: Model) -> tuple[tuple[str, float], ...]:
-    """(feature name, |weight|) pairs in the model's feature order."""
-    return tuple((name, abs(float(w))) for name, w in zip(model.feature_names, model.weights))
-
-
 def save_model(model: Model, path: str | Path) -> None:
     payload = {
         "weights": [float(w) for w in model.weights],

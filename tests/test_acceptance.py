@@ -353,7 +353,8 @@ def test_criterion_8_full_data_reproduction():
         if not data_dir:
             pytest.skip("CPDP_IFS_DATA_DIR not set; full-data reproduction skipped")
 
-        from cpdp_ifs.experiment import load_config, run_plan
+        from cpdp_ifs.config import load_config
+        from cpdp_ifs.experiment import run_plan
 
         config = load_config(Path(data_dir) / "config.json")
         for needed in (Method.IFS_OUR, Method.IFS_MIN):

@@ -5,13 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cpdp_ifs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
-from cpdp_ifs.profiles import INDICATOR_NAMES
 
-import indicator_weights
 from synth import corpus_projects, write_corpus, write_project_csv
 
 # Every command runs in this process, through main, so a numpy RuntimeWarning
@@ -432,6 +429,17 @@ class TestCompare:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: --method-a and --method-b must differ, not 'ifs_our' twice\n"
+        )
+
+    @pytest.mark.parametrize("columns", [["--x-col", "a", "--y-col", "a"], ["--x-col", "b"]])
+    def test_csv_same_column_twice_exits_1(self, tmp_path, capsys, columns):
+        # With --x-col b alone, the default --y-col is the second column, b too.
+        path = tmp_path / "scores.csv"
+        path.write_text("a,b\n0.5,0.25\n0.6,0.5\n", encoding="utf-8")
+        assert main(["compare", "--csv", str(path), *columns]) == EXIT_CONFIG
+        twice = columns[1]
+        assert capsys.readouterr().err == (
+            f"config error: --x-col and --y-col must name two columns, not {twice!r} twice\n"
         )
 
     def test_degenerate_pairing_exits_2(self, tmp_path, capsys):
@@ -873,6 +881,27 @@ class TestUsage:
         }
         assert users == set()
 
+    def test_no_module_imports_a_name_it_does_not_use(self):
+        # Each name has one home: a module imports a name to use it, not to
+        # export it. A name read only in an annotation counts as used.
+        import ast
+
+        src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
+        unused = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unused.extend(f"{path.name}:{node.lineno} {name}" for name in names
+                              if name not in used)
+        assert not unused, f"imported names the module never uses: {unused}"
+
     # Each test that starts a child interpreter, by file and the qualified name
     # of its enclosing class or function, and why the process is the claim.
     CHILD_STARTERS = {
@@ -921,7 +950,7 @@ class TestUsage:
         assert used == self.CHILD_STARTERS
 
     def test_readme_examples_run(self, capsys):
-        from cpdp_ifs.experiment import parse_config
+        from cpdp_ifs.config import parse_config
 
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (config,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -940,68 +969,3 @@ class TestUsage:
         assert result.returncode == 0
         assert "ingest" in result.stdout
         assert "compare" in result.stdout
-
-
-class TestIndicatorWeights:
-    @staticmethod
-    def run_script(tmp_path, monkeypatch, projects, *args):
-        """``indicator_weights.main()`` on ``projects``, with the ``sys.argv``
-        that ``python3 scripts/indicator_weights.py`` gives it."""
-        script = Path(__file__).resolve().parents[1] / "scripts" / "indicator_weights.py"
-        specs = []
-        for project in projects:
-            write_project_csv(tmp_path / f"{project.name}.csv", project)
-            specs.append(
-                {
-                    "name": project.name,
-                    "path": f"{project.name}.csv",
-                    "family": project.dataset_family,
-                }
-            )
-        (tmp_path / "config.json").write_text(json.dumps({"datasets": specs}), encoding="utf-8")
-        monkeypatch.setattr(
-            sys, "argv", [str(script), "--config", str(tmp_path / "config.json"), *args]
-        )
-        return indicator_weights.main()
-
-    def test_one_row_project_is_skipped_not_a_traceback(self, tmp_path, monkeypatch, capsys):
-        projects = [p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0")]
-        one = corpus_projects()[-1]
-        projects.append(
-            dataclasses.replace(one, name="tiny", matrix=one.matrix[:1], labels=one.labels[:1])
-        )
-        assert self.run_script(tmp_path, monkeypatch, projects) == 0
-        captured = capsys.readouterr()
-        skipped = sorted(line for line in captured.err.splitlines() if line.startswith("skipped"))
-        assert skipped == [
-            f"skipped {pair}: insufficient rows for normalization (need at least 2)"
-            for pair in ("fam_a_p0->tiny", "fam_b_p0->tiny", "tiny->fam_a_p0", "tiny->fam_b_p0")
-        ]
-        assert captured.out.splitlines()[0] == "pairs scored: 2"
-
-    def test_one_scored_pair_leaves_the_sd_empty(self, tmp_path, monkeypatch, capsys):
-        source, target = (p for p in corpus_projects() if p.name in ("fam_a_p0", "fam_b_p0"))
-        single_class = dataclasses.replace(target, labels=np.zeros_like(target.labels))
-        assert self.run_script(tmp_path, monkeypatch, [source, single_class]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "skipped fam_b_p0->fam_a_p0: "
-            "degenerate training set: all labels belong to one class"
-        ]
-        lines = captured.out.splitlines()
-        assert lines[0] == "pairs scored: 1"
-        assert len(lines) == 2 + len(INDICATOR_NAMES)
-        for line in lines[2:]:
-            assert len(line.split()) == 2, line
-            assert "nan" not in line
-
-    @pytest.mark.parametrize("top", ["0", "-14"])
-    def test_top_below_1_is_a_usage_error(self, tmp_path, monkeypatch, capsys, top):
-        with pytest.raises(SystemExit) as exit_:
-            self.run_script(tmp_path, monkeypatch, [], "--top", top)
-        assert exit_.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            f"indicator_weights.py: error: --top must be at least 1, not {top}"
-        )

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,22 +17,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpdp_ifs.experiment import (
-    ConfigError,
-    DataError,
-    DatasetSpec,
-    ExperimentConfig,
     analyze_dpr,
     best_per_target,
-    config_hash,
     emit_boxplot_summary,
-    load_config,
     load_projects,
-    parse_config,
     run_plan,
     write_report,
 )
 from cpdp_ifs import predictors
 from cpdp_ifs.cli import main as cli_main
+from cpdp_ifs.config import (
+    ConfigError,
+    DataError,
+    DatasetSpec,
+    ExperimentConfig,
+    config_hash,
+    load_config,
+    parse_config,
+)
 from cpdp_ifs.corpus import (
     DPR_APPROPRIATE_MAX,
     DPR_IMPROVEMENT_THRESHOLD,
@@ -52,6 +56,7 @@ from cpdp_ifs.stats import ConfusionMatrix
 
 import make_demo_corpus
 import paper_corpus
+import report_diff
 from checks import report_digest
 from oracles import reference_best_sources
 from run import WORKLOADS
@@ -919,6 +924,48 @@ class TestWriteReport:
         text = (out / "manifest.json").read_text()
         assert "time" not in text
         assert "date" not in text
+
+
+class TestReportDiff:
+    def test_report_against_itself_gives_nothing(self, corpus_report, capsys):
+        assert report_diff.diff_reports(corpus_report, corpus_report) == []
+        assert report_diff.main([str(corpus_report), str(corpus_report)]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_weight_moved_by_one_ulp_names_the_file_and_the_move(
+        self, corpus_report, tmp_path, capsys
+    ):
+        moved = tmp_path / "moved"
+        shutil.copytree(corpus_report, moved)
+        path = sorted((moved / "models").glob("*.json"))[0]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        name, weight = next(
+            (n, w) for n, w in zip(payload["feature_names"], payload["weights"]) if w != 0.0
+        )
+        scale = max(abs(w) for w in [*payload["weights"], payload["intercept"]])
+        move = (math.nextafter(weight, math.inf) - weight) / scale
+        payload["weights"][payload["feature_names"].index(name)] = math.nextafter(weight, math.inf)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        line = f"models/{path.name}: largest relative weight move {move:.3g} ({name!r})"
+        assert report_diff.diff_reports(corpus_report, moved) == [line]
+        assert report_diff.main([str(corpus_report), str(moved)]) == 1
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_rewritten_best_source_names_the_target(self, corpus_report, tmp_path):
+        rewritten = tmp_path / "rewritten"
+        shutil.copytree(corpus_report, rewritten)
+        path = rewritten / "best_per_target.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        method, target, source, *scores = first.split(",")
+        path.write_text(
+            header + ",".join([method, target, "elsewhere", *scores]) + "".join(rest),
+            encoding="utf-8",
+        )
+        assert report_diff.diff_reports(corpus_report, rewritten) == [
+            "best_per_target.csv: bytes differ",
+            f"best_per_target.csv: {method} target {target!r}: "
+            f"best source {source!r} -> 'elsewhere'",
+        ]
 
 
 def dpr_rows(outcomes, *projects):

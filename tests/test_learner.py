@@ -18,7 +18,6 @@ from cpdp_ifs.learner import (
     _gradient_at,
     _objective_at,
     apply_threshold,
-    coefficient_magnitudes,
     predict_proba,
     save_model,
     train,
@@ -203,6 +202,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="binary"):
             train(np.ones((2, 1)), np.array([0, 2]), ["a"])
 
+    def test_planted_indicator_dominates(self):
+        # profiled feature space built directly: independent columns, label
+        # driven by the "mean" column alone
+        from cpdp_ifs.profiles import INDICATOR_NAMES
+
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(300, len(INDICATOR_NAMES)))
+        labels = (matrix[:, INDICATOR_NAMES.index("mean")] > 0.0).astype(int)
+        model = train(matrix, labels, INDICATOR_NAMES, LearnerParams(ridge=0.1))
+        assert INDICATOR_NAMES[int(np.argmax(np.abs(model.weights)))] == "mean"
+
 
 # exp(-eta) overflows below eta = -709.78, where expit becomes 0; just above
 # that, expit is subnormal. The -760..-700 band straddles both.
@@ -364,30 +374,6 @@ class TestClassify:
         model = train(X, np.array([0, 0, 1, 1]), ["x"])
         predicted = apply_threshold(predict_proba(model, X), model.params.decision_threshold)
         assert list(predicted) == [0, 0, 1, 1]
-
-
-class TestCoefficientMagnitudes:
-    def test_absolute_values_in_order(self):
-        model = identity_model([-2.0, 0.5])
-        assert coefficient_magnitudes(model) == (("f0", 2.0), ("f1", 0.5))
-
-    def test_zero_model(self):
-        model = identity_model([0.0, 0.0, 0.0])
-        assert all(value == 0.0 for _, value in coefficient_magnitudes(model))
-
-    def test_planted_indicator_dominates(self):
-        # profiled feature space built directly: independent columns, label
-        # driven by the "mean" column alone
-        from cpdp_ifs.profiles import INDICATOR_NAMES
-
-        rng = np.random.default_rng(4)
-        matrix = rng.normal(size=(300, len(INDICATOR_NAMES)))
-        mean_idx = INDICATOR_NAMES.index("mean")
-        labels = (matrix[:, mean_idx] > 0.0).astype(int)
-        model = train(matrix, labels, INDICATOR_NAMES, LearnerParams(ridge=0.1))
-        magnitudes = dict(coefficient_magnitudes(model))
-        top = max(magnitudes, key=magnitudes.get)
-        assert top == "mean"
 
 
 class TestPersistence:

@@ -14,13 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdp_ifs.config import DatasetSpec, ExperimentConfig
 from cpdp_ifs.corpus import FeatureSchema, Project, dpr
-from cpdp_ifs.experiment import (
-    ComparisonRow,
-    DatasetSpec,
-    ExperimentConfig,
-    run_plan,
-)
+from cpdp_ifs.experiment import ComparisonRow, run_plan
 from cpdp_ifs.predictors import Method, run_cpdp_pure, run_ifs_min, run_ifs_our, run_mix
 from cpdp_ifs.stats import compare_paired, pearson
 
