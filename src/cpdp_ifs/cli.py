@@ -6,7 +6,9 @@ Subcommands: ``ingest`` validates and summarizes the configured data sets,
 proneness ratio of a source/target pair, and ``box`` prints boxplot
 summaries. ``run`` takes only ``--config`` and ``--out``; every other run
 setting is a config key. Exit codes: 0 success, 1 config/usage error,
-2 data error, 3 run finished with partial failures.
+2 data error, 3 run finished with partial failures. A data error is an
+``OSError`` or a :class:`~cpdp_ifs.corpus.DataError`; any other exception,
+a ``ValueError`` included, is a program fault and ends in a traceback.
 
 Each command imports the modules it needs when it runs, so neither ``ingest``
 nor ``dpr`` loads numpy. A fault in a score table that ``compare`` or ``box``
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from cpdp_ifs.config import ConfigError, ExperimentConfig, load_config, load_datasets
 from cpdp_ifs.corpus import (
-    DPR_IMPROVEMENT_THRESHOLD, DataFormatError, dpr, located, parse_arff, parse_csv, parse_number,
+    DPR_IMPROVEMENT_THRESHOLD, DataError, dpr, located, parse_arff, parse_csv, parse_number,
     read_table, summarize,
 )
 
@@ -88,13 +90,13 @@ def _read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     header, rows = read_table(path)
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
-        raise DataFormatError(f"duplicate column names {repeated}")
+        raise DataError(f"duplicate column names {repeated}")
     if not rows:
-        raise DataFormatError("empty file (header only)")
+        raise DataError("empty file (header only)")
     for i, row in enumerate(rows, start=1):
         if len(row) > len(header):
             with located(f"data row {i}"):
-                raise DataFormatError(f"{len(row)} cells, expected {len(header)}")
+                raise DataError(f"{len(row)} cells, expected {len(header)}")
     return header, rows
 
 
@@ -103,14 +105,14 @@ def _column(header: list[str], rows: list[list[str]], name: str, numeric: bool =
     :func:`parse_number` when ``numeric``; a missing column or an empty cell
     is also a data error."""
     if name not in header:
-        raise DataFormatError(f"column {name!r} not found")
+        raise DataError(f"column {name!r} not found")
     idx = header.index(name)
     values = []
     for i, row in enumerate(rows, start=1):
         with located(f"data row {i}"):
             cell = row[idx] if idx < len(row) else ""
             if cell == "":
-                raise DataFormatError(f"missing value in column {name!r}")
+                raise DataError(f"missing value in column {name!r}")
             values.append(parse_number(cell, name) if numeric else cell)
     return values
 
@@ -171,14 +173,14 @@ def _compare_from_csv(args: argparse.Namespace) -> tuple[list[float], list[float
         x_col = args.x_col or header[0]
         y_col = args.y_col or (header[1] if len(header) > 1 else None)
         if y_col is None:
-            raise DataFormatError("need two columns for a paired comparison")
+            raise DataError("need two columns for a paired comparison")
         if x_col == y_col:
             raise ConfigError(f"--x-col and --y-col must name two columns, not {x_col!r} twice")
         x, y = _column(header, rows, x_col), _column(header, rows, y_col)
         for i, (a, b) in enumerate(zip(x, y), start=1):
             with located(f"data row {i}"):
                 if not math.isfinite(a - b):
-                    raise DataFormatError(f"{x_col!r} - {y_col!r} overflows the float range")
+                    raise DataError(f"{x_col!r} - {y_col!r} overflows the float range")
         return x, y
 
 
@@ -197,20 +199,20 @@ def _compare_from_results(args: argparse.Namespace) -> tuple[list[float], list[f
         )
         for method, target, f_measure in zip(methods, targets, f_measures):
             if target in scores.setdefault(method, {}):
-                raise DataFormatError(f"two rows for method {method!r} and target {target!r}")
+                raise DataError(f"two rows for method {method!r} and target {target!r}")
             scores[method][target] = f_measure
         for method in (args.method_a, args.method_b):
             if method not in scores:
-                raise DataFormatError(f"no rows for method {method!r}")
+                raise DataError(f"no rows for method {method!r}")
         common = sorted(set(scores[args.method_a]) & set(scores[args.method_b]))
         if not common:
-            raise DataFormatError("no common targets for the two methods")
+            raise DataError("no common targets for the two methods")
         x = [scores[args.method_a][t] for t in common]
         y = [scores[args.method_b][t] for t in common]
         for target, a, b in zip(common, x, y):
             with located(f"target {target!r}"):
                 if not math.isfinite(a - b):
-                    raise DataFormatError(
+                    raise DataError(
                         f"{args.method_a!r} - {args.method_b!r} overflows the float range"
                     )
         return x, y
@@ -271,7 +273,7 @@ def _cmd_box(args: argparse.Namespace) -> int:
             try:
                 sys.stdout.write(path.read_text(encoding="utf-8"))
             except UnicodeDecodeError as exc:
-                raise DataFormatError(str(exc)) from None
+                raise DataError(str(exc)) from None
         return EXIT_OK
     groups: dict[str, list[float]] = {}
     with located(args.csv):
@@ -303,10 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
-        # Unreadable or malformed files, and statistical preconditions
-        # (degenerate pairing, undefined DPR, ...), are properties of the
-        # supplied data.
+    except (OSError, DataError) as exc:
+        # Unreadable or malformed files and unusable data (degenerate pairing,
+        # undefined DPR, ...); any other ValueError is a program fault.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

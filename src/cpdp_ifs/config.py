@@ -28,15 +28,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # interpreters built without built-in hashes
 
-from cpdp_ifs.corpus import FeatureSchema
+from cpdp_ifs.corpus import DataError, FeatureSchema, located
 
 
 class ConfigError(ValueError):
     """The experiment config file is malformed or inconsistent."""
-
-
-class DataError(ValueError):
-    """A configured data set could not be loaded."""
 
 
 class Method(str, enum.Enum):
@@ -94,6 +90,8 @@ class DatasetSpec:
         for required in ("name", "path"):
             if not getattr(self, required):
                 raise ValueError(f"{required} must not be empty")
+        if "\0" in self.path:
+            raise ValueError("path must not contain a NUL character")
         if self.format not in ("", "csv", "arff"):
             raise ValueError(f"unknown format {self.format!r}")
         self.schema()  # a repeated or label-colliding feature name is a config fault
@@ -131,6 +129,8 @@ class ExperimentConfig:
         missing = {Method.CPDP_PURE, Method.IFS_OUR} - set(self.methods)
         if Method.MIX in self.methods and missing:
             raise ValueError("mix requires both cpdp_pure and ifs_our to be configured")
+        if "\0" in self.output_dir:
+            raise ValueError("output_dir must not contain a NUL character")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
 
@@ -241,16 +241,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def load_datasets(config: ExperimentConfig, load_csv: Callable, load_arff: Callable) -> list:
     """``load(path, schema, name=, family=)`` of every configured data set,
     in config order, with ``load`` picked by its format and its path
-    resolved against the config's directory; a fault names the data set."""
+    resolved against the config's directory; a fault is a DataError naming the data set."""
     base = config.base_dir or Path.cwd()
     loaded = []
     for spec in config.datasets:
-        path = Path(spec.path)
-        if not path.is_absolute():
-            path = base / path
+        path = base / spec.path  # an absolute path replaces the base
         loader = load_arff if spec.resolved_format() == "arff" else load_csv
-        try:
-            loaded.append(loader(path, spec.schema(), name=spec.name, family=spec.family))
-        except (OSError, ValueError) as exc:
-            raise DataError(f"dataset {spec.name!r}: {exc}") from exc
+        with located(f"dataset {spec.name!r}"):
+            try:
+                loaded.append(loader(path, spec.schema(), name=spec.name, family=spec.family))
+            except OSError as exc:
+                raise DataError(str(exc)) from None
     return loaded

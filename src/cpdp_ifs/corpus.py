@@ -10,9 +10,10 @@ project's parts unbuilt; ``load_csv`` and ``load_arff`` build those into a
 ``Project``. Only building one imports numpy, so ``ingest`` and ``dpr``,
 which ``summarize`` the parsed labels, never do.
 
-A :class:`DataFormatError` states only its fault, and each enclosing layer
-puts its own part of the location in front with :func:`located`: a row fault
-reads ``{file}: data row {n}: {fault}``, a file fault ``{file}: {fault}``.
+:class:`DataError` is a fault the input data can cause, here or in a later
+stage. It states only its fault, and each enclosing layer puts its own part
+of the location in front with :func:`located`: a row fault reads
+``{file}: data row {n}: {fault}``, a file fault ``{file}: {fault}``.
 """
 
 from __future__ import annotations
@@ -31,21 +32,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class DataFormatError(ValueError):
-    """A data set file or schema violates the expected format."""
+class DataError(ValueError):
+    """A fault of the input data: a malformed file, or data no stage can use."""
 
 
 @contextlib.contextmanager
 def located(where: object) -> Iterator[None]:
-    """Put ``where: `` in front of a :class:`DataFormatError` raised in the block."""
+    """Put ``where: `` in front of a :class:`DataError` raised in the block."""
     try:
         yield
-    except DataFormatError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
-
-
-class NoCommonMetricsError(ValueError):
-    """Two projects share no metric names; intersection methods cannot run."""
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 _TRUE_TOKENS = {"true", "yes", "y", "buggy", "defective", "bug", "defect"}
@@ -67,9 +64,9 @@ def binarize_label(token: str) -> int:
             return 1
         if low in _FALSE_TOKENS:
             return 0
-        raise DataFormatError(f"unknown value token {token!r} in label column") from None
+        raise DataError(f"unknown value token {token!r} in label column") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite label value {token!r}")
+        raise DataError(f"non-finite label value {token!r}")
     return 1 if value > 0 else 0
 
 
@@ -95,9 +92,9 @@ class FeatureSchema:
         canon = tuple(map(self.canonical, self.feature_names))
         object.__setattr__(self, "_canonical", canon)
         if len(set(canon)) != len(canon):
-            raise DataFormatError("duplicate feature names after canonicalization")
+            raise DataError("duplicate feature names after canonicalization")
         if self.canonical(self.label_column) in canon:
-            raise DataFormatError(f"label column {self.label_column!r} listed among feature names")
+            raise DataError(f"label column {self.label_column!r} listed among feature names")
 
     def canonical(self, name: str) -> str:
         low = str(name).strip().lower()
@@ -123,20 +120,20 @@ class Project:
         matrix = np.array(self.matrix, dtype=float)
         labels = np.asarray(self.labels)
         if matrix.ndim != 2:
-            raise DataFormatError("feature matrix must be two-dimensional")
+            raise DataError("feature matrix must be two-dimensional")
         m, n = matrix.shape
         if m < 1 or n < 1:
-            raise DataFormatError("a project needs at least one instance and one feature")
+            raise DataError("a project needs at least one instance and one feature")
         if labels.shape != (m,):
-            raise DataFormatError(f"label count {labels.shape} does not match {m} instances")
+            raise DataError(f"label count {labels.shape} does not match {m} instances")
         if not np.all(np.isfinite(matrix)):
-            raise DataFormatError("feature matrix contains non-finite values")
+            raise DataError("feature matrix contains non-finite values")
         # Checked before the cast, which would truncate 0.4 or 256.0 to 0.
         if not np.all((labels == 0) | (labels == 1)):
-            raise DataFormatError("labels must be binary")
+            raise DataError("labels must be binary")
         labels = labels.astype(np.int8)
         if len(self.schema.feature_names) != n:
-            raise DataFormatError(
+            raise DataError(
                 f"schema lists {len(self.schema.feature_names)} features, matrix has {n} columns"
             )
         matrix.setflags(write=False)
@@ -178,20 +175,21 @@ def dpr(source_defect_ratio: float, target_defect_ratio: float) -> float:
     if not 0.0 <= source_defect_ratio <= 1.0 or not 0.0 <= target_defect_ratio <= 1.0:
         raise ValueError("defect ratios must lie in [0, 1]")
     if target_defect_ratio == 0.0:
-        raise ValueError("DPR undefined: target project has no defective instances")
+        raise DataError("DPR undefined: target project has no defective instances")
     return source_defect_ratio / target_defect_ratio
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Stripped header and data rows of a UTF-8 CSV file, BOM allowed, with
-    all-blank rows skipped; an empty or undecodable file is a data error."""
+    all-blank rows skipped; an empty or undecodable file, or a cell past the
+    ``csv`` module's field limit, is a data error."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(str(exc)) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(str(exc)) from None
     if not rows:
-        raise DataFormatError("empty file")
+        raise DataError("empty file")
     return [h.strip() for h in rows[0]], rows[1:]
 
 
@@ -201,9 +199,9 @@ def parse_number(cell: str, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise DataFormatError(f"non-numeric value {cell!r} in column {column!r}") from None
+        raise DataError(f"non-numeric value {cell!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite value {cell!r} in column {column!r}")
+        raise DataError(f"non-finite value {cell!r} in column {column!r}")
     return value
 
 
@@ -212,25 +210,25 @@ def _select_columns(header: list[str], schema: FeatureSchema) -> tuple[list[int]
     canon_header = [schema.canonical(h) for h in header]
     label_canon = schema.canonical(schema.label_column)
     if label_canon not in canon_header:
-        raise DataFormatError(f"label column {schema.label_column!r} not found")
+        raise DataError(f"label column {schema.label_column!r} not found")
     if canon_header.count(label_canon) > 1:
-        raise DataFormatError(f"duplicate label column {schema.label_column!r}")
+        raise DataError(f"duplicate label column {schema.label_column!r}")
     label_idx = canon_header.index(label_canon)
 
     if schema.feature_names:
         indices = []
         for canon in schema.canonical_names():
             if canon not in canon_header:
-                raise DataFormatError(f"feature column {canon!r} not found")
+                raise DataError(f"feature column {canon!r} not found")
             if canon_header.count(canon) > 1:
-                raise DataFormatError(f"duplicate feature names {[canon]}")
+                raise DataError(f"duplicate feature names {[canon]}")
             indices.append(canon_header.index(canon))
     else:
         indices = [i for i in range(len(header)) if i != label_idx]
         selected = [canon_header[i] for i in indices]
         if len(set(selected)) != len(selected):
             dupes = sorted({n for n in selected if selected.count(n) > 1})
-            raise DataFormatError(f"duplicate feature names {dupes}")
+            raise DataError(f"duplicate feature names {dupes}")
     names = [header[i].strip() for i in indices]
     return indices, label_idx, names
 
@@ -272,11 +270,11 @@ def _parse_rows(
             with located(f"data row {row_no}"):
                 fault = row_fault(row)
                 if fault is not None:
-                    raise DataFormatError(fault)
+                    raise DataError(fault)
                 values.extend(parse_number(row[idx], header[idx]) for idx in feature_idx)
                 labels.append(label_of(row[label_idx]))
     if not k:
-        raise DataFormatError("a project needs at least one instance and one feature")
+        raise DataError("a project needs at least one instance and one feature")
     return name, family, replace(schema_config, feature_names=tuple(feature_names)), values, labels
 
 
@@ -306,7 +304,7 @@ def parse_csv(
         header, data_rows = read_table(path)
         columns = _select_columns(header, schema_config)
         if not data_rows:
-            raise DataFormatError("empty file (header only)")
+            raise DataError("empty file (header only)")
 
         def row_fault(row: list[str]) -> str | None:
             return f"{len(row)} cells, expected {len(header)}" if len(row) != len(header) else None
@@ -330,7 +328,7 @@ def load_csv(
 
 def _parse_attribute_line(line: str) -> tuple[str, str, tuple[str, ...]]:
     """Parse one ``@attribute`` declaration into (name, kind, nominal_values)."""
-    malformed = DataFormatError(f"malformed attribute declaration {line!r}")
+    malformed = DataError(f"malformed attribute declaration {line!r}")
     rest = line[len("@attribute"):].strip()
     if not rest:
         raise malformed
@@ -356,7 +354,7 @@ def _parse_attribute_line(line: str) -> tuple[str, str, tuple[str, ...]]:
         return attr_name, "nominal", values
     if type_spec.lower() in ("numeric", "real", "integer"):
         return attr_name, "numeric", ()
-    raise DataFormatError(f"unsupported attribute type {type_spec!r} (only numeric and nominal)")
+    raise DataError(f"unsupported attribute type {type_spec!r} (only numeric and nominal)")
 
 
 def parse_arff(
@@ -389,17 +387,17 @@ def parse_arff(
                     elif low.startswith("@data"):
                         in_data = True
                     else:
-                        raise DataFormatError(f"unexpected line before @data: {line!r}")
+                        raise DataError(f"unexpected line before @data: {line!r}")
         except UnicodeDecodeError as exc:
-            raise DataFormatError(str(exc)) from None
+            raise DataError(str(exc)) from None
         if not saw_relation:
-            raise DataFormatError("missing @relation declaration")
+            raise DataError("missing @relation declaration")
         if not in_data:
-            raise DataFormatError("missing @data section")
+            raise DataError("missing @data section")
         if not attributes:
-            raise DataFormatError("no @attribute declarations")
+            raise DataError("no @attribute declarations")
         if not data_lines:
-            raise DataFormatError("empty file (no data rows)")
+            raise DataError("empty file (no data rows)")
 
         header = [a[0] for a in attributes]
         kinds = {a[0]: a[1] for a in attributes}
@@ -407,7 +405,7 @@ def parse_arff(
         columns = _select_columns(header, schema_config)
         for i in columns[0]:
             if kinds[header[i]] == "nominal":
-                raise DataFormatError(
+                raise DataError(
                     f"nominal attribute {header[i]!r} cannot be used as a feature"
                 )
         label_name = header[columns[1]]
@@ -424,7 +422,7 @@ def parse_arff(
         def label_of(cell: str) -> int:
             cell = cell.strip("'\"")
             if kinds[label_name] == "nominal" and cell not in nominal_values[label_name]:
-                raise DataFormatError(
+                raise DataError(
                     f"unknown value token {cell!r} (declared: {sorted(nominal_values[label_name])})"
                 )
             return binarize_label(cell)
@@ -453,14 +451,14 @@ def intersect_features(
 
     Returns the shared names in ``a``'s schema order and, for each project,
     the column index of each shared name, so position i refers to the same
-    canonical metric on both sides. Raises :class:`NoCommonMetricsError`
-    when the canonical name sets are disjoint.
+    canonical metric on both sides. Raises :class:`DataError` when the
+    canonical name sets are disjoint.
     """
     a_canon = a.schema.canonical_names()
     b_index = {cname: i for i, cname in enumerate(b.schema.canonical_names())}
     a_cols = tuple(i for i, cname in enumerate(a_canon) if cname in b_index)
     if not a_cols:
-        raise NoCommonMetricsError(
+        raise DataError(
             f"no common metrics between {a.name!r} ({a.dataset_family}) "
             f"and {b.name!r} ({b.dataset_family})"
         )

@@ -34,8 +34,8 @@ from cpdp_ifs.config import (
     load_datasets,
 )
 from cpdp_ifs.corpus import (
-    DPR_APPROPRIATE_MAX, DPR_IMPROVEMENT_THRESHOLD, DatasetSummary, Project, dpr, load_arff,
-    load_csv, summarize,
+    DPR_APPROPRIATE_MAX, DPR_IMPROVEMENT_THRESHOLD, DataError, DatasetSummary, Project, dpr,
+    load_arff, load_csv, summarize,
 )
 from cpdp_ifs.learner import save_model
 from cpdp_ifs.predictors import (
@@ -161,7 +161,7 @@ def emit_boxplot_summary(groups: Mapping[str, Sequence[float]]) -> tuple[Boxplot
         minimum, maximum = float(values[0]), float(values[-1])
         # In Python floats, so that a span past the float range gives no warning.
         if not math.isfinite(maximum - minimum):
-            raise ValueError(f"group {group!r} spans more than the float range")
+            raise DataError(f"group {group!r} spans more than the float range")
         q1, median, q3 = sorted_quantiles(values, (0.25, 0.5, 0.75)).tolist()
         iqr = q3 - q1
         fenced = (values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)
@@ -222,7 +222,7 @@ def _run_pairs(
                 projects[plan.source_name], projects[plan.target_name],
                 config.preprocessing, config.learner, memo,
             ))
-        except ValueError as exc:
+        except DataError as exc:
             error = FailureRecord(plan.method, plan.source_name, plan.target_name, str(exc))
             failures.append(error)
     return outcomes, failures
@@ -260,7 +260,7 @@ def _build_comparisons(
             try:
                 result = compare_paired(x, y)
                 test = (result.statistic, result.p_value, result.cliffs_delta, result.method_note)
-            except ValueError as exc:
+            except DataError as exc:
                 test = (None, None, None, str(exc))
         rows.append(ComparisonRow(method_a, method_b, len(common), *test))
     return tuple(rows)
@@ -292,7 +292,7 @@ def analyze_dpr(
             dpr_value = dpr(
                 summaries[pure.source_name].defect_ratio, summaries[target].defect_ratio
             )
-        except ValueError as exc:
+        except DataError as exc:
             dpr_value = None
             notes.append(str(exc))
 
@@ -320,7 +320,7 @@ def analyze_dpr(
                 pearson_r, pearson_p = pearson(
                     np.array(ratios), np.array([run.f_measure for run in profile_runs])
                 )
-            except ValueError as exc:
+            except DataError as exc:
                 notes.append(str(exc))
 
         rows.append(

@@ -18,14 +18,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from cpdp_ifs.config import LearnerParams
+from cpdp_ifs.corpus import DataError
 
 _GRADIENT_FLOOR = 1e-10
 _MAX_HALVINGS = 60
 _PROB_FLOOR = 1e-12
-
-
-class DegenerateTrainingError(ValueError):
-    """Training data admits no two-class fit (e.g. one class only)."""
 
 
 class TrainingMeta(NamedTuple):
@@ -105,7 +102,7 @@ def _solve_newton(hessian: np.ndarray, gradient: np.ndarray, identity: np.ndarra
             return np.linalg.solve(hessian + jitter * identity, gradient)
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
-    raise DegenerateTrainingError("degenerate training set: singular normal equations")
+    raise DataError("degenerate training set: singular normal equations")
 
 
 def train(
@@ -116,8 +113,8 @@ def train(
 ) -> Model:
     """Fit the model by minimizing -loglik + (ridge/2)*||weights||^2.
 
-    The intercept is never penalized. Raises
-    :class:`DegenerateTrainingError` when only one class is present.
+    The intercept is never penalized. Raises :class:`DataError` when only
+    one class is present or the normal equations stay singular.
     """
     X = np.asarray(matrix, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -129,11 +126,11 @@ def train(
     if len(feature_names) != n:
         raise ValueError(f"{len(feature_names)} feature names for {n} columns")
     if not np.all(np.isfinite(X)):
-        raise ValueError("training matrix contains non-finite values")
+        raise DataError("training matrix contains non-finite values")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be binary")
     if np.all(y == y[0]):
-        raise DegenerateTrainingError("degenerate training set: all labels belong to one class")
+        raise DataError("degenerate training set: all labels belong to one class")
 
     X1 = np.hstack([np.ones((m, 1)), X])
     # Built once per fit: the penalty mask, the ridges and the Hessian's terms.
@@ -211,7 +208,7 @@ def predict_proba(model: Model, features: np.ndarray) -> np.ndarray:
     if arr.shape[1] != n:
         raise ValueError(f"expected {n} feature columns, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("feature matrix contains non-finite values")
+        raise DataError("feature matrix contains non-finite values")
     eta = arr @ model.weights + model.intercept
     return np.clip(_expit(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 

@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 
 from cpdp_ifs.config import LearnerParams, Method, PreprocessConfig
-from cpdp_ifs.corpus import Project, intersect_features
+from cpdp_ifs.corpus import DataError, Project, intersect_features
 from cpdp_ifs.learner import Model, apply_threshold, predict_proba, train
 from cpdp_ifs.preprocess import preprocess_matrix
 from cpdp_ifs.profiles import characterize_project
@@ -53,18 +53,18 @@ class PredictionOutcome:
 
 class RunMemo:
     """One method's stage results that depend on one project alone, each
-    computed once. A ``ValueError`` is kept and raised again for every later
-    caller, so each pair still reports the first error of its own stages.
+    computed once. A :class:`DataError` is kept and raised again for every
+    later caller, so each pair still reports the first error of its own stages.
     No key is shared between methods, so a memo per method needs no lock."""
 
     def __init__(self) -> None:
-        self._results: dict[Hashable, tuple[Any, ValueError | None]] = {}
+        self._results: dict[Hashable, tuple[Any, DataError | None]] = {}
 
     def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         if key not in self._results:
             try:
                 self._results[key] = (compute(), None)
-            except ValueError as exc:
+            except DataError as exc:
                 self._results[key] = (None, exc)
         value, error = self._results[key]
         if error is not None:
@@ -133,7 +133,7 @@ def run_cpdp_pure(
     """
     _require_distinct(source, target)
     if set(source.schema.canonical_names()) != set(target.schema.canonical_names()):
-        raise ValueError("feature sets differ; use an IFS method")
+        raise DataError("feature sets differ; use an IFS method")
     return _train_and_classify(Method.CPDP_PURE, source, target, preprocessing, params, memo)
 
 

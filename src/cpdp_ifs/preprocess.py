@@ -9,13 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from cpdp_ifs.config import PreprocessConfig
+from cpdp_ifs.corpus import DataError
 
 
 def log_filter(matrix: np.ndarray) -> np.ndarray:
     """Apply ln(x + 1) elementwise. Raw metric values must be non-negative."""
     matrix = np.asarray(matrix, dtype=float)
     if np.any(matrix < 0):
-        raise ValueError("log filter undefined for negative values")
+        raise DataError("log filter undefined for negative values")
     return np.log1p(matrix)
 
 
@@ -32,7 +33,7 @@ def zscore(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("zscore expects a two-dimensional matrix")
     m = matrix.shape[0]
     if m < 2:
-        raise ValueError("insufficient rows for normalization (need at least 2)")
+        raise DataError("insufficient rows for normalization (need at least 2)")
     # Exact max==min is the constancy test; near-cancellation in the mean can
     # leave a tiny nonzero sd on constant columns and blow up the quotient.
     constant = matrix.max(axis=0) == matrix.min(axis=0)
@@ -40,7 +41,7 @@ def zscore(matrix: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         mean, sd = matrix.mean(axis=0), np.where(constant, 1.0, matrix.std(axis=0, ddof=1))
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
-        raise ValueError("column statistics overflow the float range")
+        raise DataError("column statistics overflow the float range")
     normalized = (matrix - mean) / sd
     normalized[:, constant] = 0.0
     return normalized

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cpdp_ifs.corpus import FeatureSchema, Project
+from cpdp_ifs.corpus import DataError, FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
 from cpdp_ifs.stats import sorted_quantiles
 
@@ -70,7 +70,7 @@ def _indicator_matrix(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 0:
         raise ValueError("empty instance")
     if not np.all(np.isfinite(rows)):
-        raise ValueError("instance contains non-finite values")
+        raise DataError("instance contains non-finite values")
     # Sorting first makes every indicator exactly permutation invariant;
     # summation order otherwise leaks into the low bits. ``+ 0.0`` turns
     # -0.0 into 0.0, so that the order of two zeros cannot show either.

@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cpdp_ifs.corpus import DataError
+
 _EXACT_CUTOFF = 12
 _EXACT_MAX_PAIRS = 200  # the exact table grows as n^3; its tail overflows a float near 1024
 _FRACTION_MAX_TERMS = 10_000
@@ -123,10 +125,10 @@ def _effective_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         diffs = x - y
     if not np.all(np.isfinite(diffs)):
-        raise ValueError("paired differences must lie within the float range")
+        raise DataError("paired differences must lie within the float range")
     diffs = diffs[diffs != 0.0]
     if diffs.size == 0:
-        raise ValueError("degenerate pairing: all differences are zero")
+        raise DataError("degenerate pairing: all differences are zero")
     return diffs
 
 
@@ -167,7 +169,7 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray, method: str = "auto") -> 
     diffs = _effective_differences(x, y)
     n = diffs.size
     if method == "exact" and n > _EXACT_MAX_PAIRS:
-        raise ValueError(
+        raise DataError(
             f"exact signed-rank test takes at most {_EXACT_MAX_PAIRS} effective pairs, "
             f"got {n}; use method 'asymptotic'"
         )
@@ -310,7 +312,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     sxx = float(np.sum(dx * dx))
     syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
-        raise ValueError("pearson undefined: zero variance sample")
+        raise DataError("pearson undefined: zero variance sample")
     r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:

@@ -263,13 +263,13 @@ def reference_best_sources(rows: list[dict[str, str]]) -> dict[tuple[str, str], 
 # The per-cell loaders that filled a Project one cell at a time, before the
 # bulk parse: the reference for every message and every bit the loaders
 # give. They return (matrix, labels, feature names) and raise the package's
-# DataFormatError, whose type the CLI maps to exit 2.
+# DataError, whose type the CLI maps to exit 2.
 _TRUE_TOKENS = {"true", "yes", "y", "buggy", "defective", "bug", "defect"}
 _FALSE_TOKENS = {"false", "no", "n", "clean", "non-defective", "nondefective", "nonbuggy"}
 
 
 def _reference_label(token: str) -> int:
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     tok = str(token).strip().strip("'\"")
     try:
@@ -280,57 +280,57 @@ def _reference_label(token: str) -> int:
             return 1
         if low in _FALSE_TOKENS:
             return 0
-        raise DataFormatError(f"unknown value token {token!r} in label column") from None
+        raise DataError(f"unknown value token {token!r} in label column") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"non-finite label value {token!r}")
+        raise DataError(f"non-finite label value {token!r}")
     return 1 if value > 0 else 0
 
 
 def _reference_label_at(path, token: str, row_no: int) -> int:
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     try:
         return _reference_label(token)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: data row {row_no}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: data row {row_no}: {exc}") from None
 
 
 def _reference_cell(path, cell: str, row_no: int, column: str) -> float:
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     try:
         value = float(cell)
     except ValueError:
-        raise DataFormatError(
+        raise DataError(
             f"{path}: data row {row_no}: non-numeric value {cell!r} in column {column!r}"
         ) from None
     if not math.isfinite(value):
-        raise DataFormatError(
+        raise DataError(
             f"{path}: data row {row_no}: non-finite value {cell!r} in column {column!r}"
         )
     return value
 
 
 def _reference_columns(header, schema, origin):
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     canon_header = [schema.canonical(h) for h in header]
     label_canon = schema.canonical(schema.label_column)
     if label_canon not in canon_header:
-        raise DataFormatError(f"{origin}: label column {schema.label_column!r} not found")
+        raise DataError(f"{origin}: label column {schema.label_column!r} not found")
     label_idx = canon_header.index(label_canon)
     if schema.feature_names:
         indices = []
         for canon in schema.canonical_names():
             if canon not in canon_header:
-                raise DataFormatError(f"{origin}: feature column {canon!r} not found")
+                raise DataError(f"{origin}: feature column {canon!r} not found")
             indices.append(canon_header.index(canon))
     else:
         indices = [i for i in range(len(header)) if i != label_idx]
         selected = [canon_header[i] for i in indices]
         if len(set(selected)) != len(selected):
             dupes = sorted({n for n in selected if selected.count(n) > 1})
-            raise DataFormatError(f"{origin}: duplicate feature names {dupes}")
+            raise DataError(f"{origin}: duplicate feature names {dupes}")
     return indices, label_idx, [header[i].strip() for i in indices]
 
 
@@ -338,22 +338,22 @@ def reference_load_csv(path, schema):
     """The per-cell CSV loader: (matrix, labels, feature names)."""
     import csv
 
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     if not rows:
-        raise DataFormatError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     feature_idx, label_idx, names = _reference_columns(header, schema, str(path))
     data_rows = rows[1:]
     if not data_rows:
-        raise DataFormatError(f"{path}: empty file (header only)")
+        raise DataError(f"{path}: empty file (header only)")
     matrix = np.empty((len(data_rows), len(feature_idx)))
     labels = np.empty(len(data_rows), dtype=np.int8)
     for r, row in enumerate(data_rows):
         if len(row) != len(header):
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: data row {r + 1}: {len(row)} cells, expected {len(header)}"
             )
         for c, idx in enumerate(feature_idx):
@@ -363,9 +363,9 @@ def reference_load_csv(path, schema):
 
 
 def _reference_attribute(line, path):
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
-    malformed = DataFormatError(f"{path}: malformed attribute declaration {line!r}")
+    malformed = DataError(f"{path}: malformed attribute declaration {line!r}")
     rest = line[len("@attribute"):].strip()
     if not rest:
         raise malformed
@@ -390,14 +390,14 @@ def _reference_attribute(line, path):
         return attr_name, "nominal", values
     if type_spec.lower() in ("numeric", "real", "integer"):
         return attr_name, "numeric", ()
-    raise DataFormatError(
+    raise DataError(
         f"{path}: unsupported attribute type {type_spec!r} (only numeric and nominal)"
     )
 
 
 def reference_load_arff(path, schema):
     """The per-cell dense-ARFF loader: (matrix, labels, feature names)."""
-    from cpdp_ifs.corpus import DataFormatError
+    from cpdp_ifs.corpus import DataError
 
     attributes, data_lines = [], []
     saw_relation = in_data = False
@@ -416,15 +416,15 @@ def reference_load_arff(path, schema):
             elif low.startswith("@data"):
                 in_data = True
             else:
-                raise DataFormatError(f"{path}: unexpected line before @data: {line!r}")
+                raise DataError(f"{path}: unexpected line before @data: {line!r}")
     if not saw_relation:
-        raise DataFormatError(f"{path}: missing @relation declaration")
+        raise DataError(f"{path}: missing @relation declaration")
     if not in_data:
-        raise DataFormatError(f"{path}: missing @data section")
+        raise DataError(f"{path}: missing @data section")
     if not attributes:
-        raise DataFormatError(f"{path}: no @attribute declarations")
+        raise DataError(f"{path}: no @attribute declarations")
     if not data_lines:
-        raise DataFormatError(f"{path}: empty file (no data rows)")
+        raise DataError(f"{path}: empty file (no data rows)")
 
     header = [a[0] for a in attributes]
     kinds = {a[0]: a[1] for a in attributes}
@@ -432,7 +432,7 @@ def reference_load_arff(path, schema):
     feature_idx, label_idx, names = _reference_columns(header, schema, str(path))
     for i in feature_idx:
         if kinds[header[i]] == "nominal":
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: nominal attribute {header[i]!r} cannot be used as a feature"
             )
     matrix = np.empty((len(data_lines), len(feature_idx)))
@@ -440,20 +440,20 @@ def reference_load_arff(path, schema):
     label_name = header[label_idx]
     for r, line in enumerate(data_lines):
         if line.startswith("{"):
-            raise DataFormatError(f"{path}: data row {r + 1}: sparse ARFF data is not supported")
+            raise DataError(f"{path}: data row {r + 1}: sparse ARFF data is not supported")
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: data row {r + 1}: row arity mismatch: "
                 f"{len(cells)} values for {len(header)} attributes"
             )
         if any(c == "?" for c in cells):
-            raise DataFormatError(f"{path}: data row {r + 1}: missing value ('?')")
+            raise DataError(f"{path}: data row {r + 1}: missing value ('?')")
         for c, idx in enumerate(feature_idx):
             matrix[r, c] = _reference_cell(path, cells[idx], r + 1, header[idx])
         label_cell = cells[label_idx].strip().strip("'\"")
         if kinds[label_name] == "nominal" and label_cell not in nominal_values[label_name]:
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: data row {r + 1}: unknown value token {label_cell!r} "
                 f"(declared: {sorted(nominal_values[label_name])})"
             )

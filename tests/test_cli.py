@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -144,6 +145,27 @@ class TestIngest:
                 "@relation r\n@attribute a numeric\n@attribute bug {0,1}\n@data\n1,0\n{0 1}\n",
                 "data row 2: sparse ARFF data is not supported",
             ),
+            (
+                "p.arff",
+                "@relation r\n@attribute 'a numeric\n@attribute bug {0,1}\n@data\n1,0\n",
+                "malformed attribute declaration \"@attribute 'a numeric\"",
+            ),
+            (
+                "p.arff",
+                "@relation r\n@attribute a string\n@attribute bug {0,1}\n@data\nx,0\n",
+                "unsupported attribute type 'string' (only numeric and nominal)",
+            ),
+            (
+                "p.arff",
+                "@relation r\n@attribute a numeric\noops\n@attribute bug {0,1}\n@data\n1,0\n",
+                "unexpected line before @data: 'oops'",
+            ),
+            ("p.arff", "@relation r\n@data\n1,0\n", "no @attribute declarations"),
+            (
+                "p.arff",
+                "@relation r\n@attribute a numeric\n@attribute bug {0,1}\n@data\n",
+                "empty file (no data rows)",
+            ),
         ],
     )
     def test_malformed_dataset_exits_2_without_traceback(
@@ -194,6 +216,7 @@ class TestIngest:
                 "@attribute cbo numeric\n@attribute BUG {0,1}\n@data\n0,1,2,1\n1,3,4,0\n",
                 "p.arff: duplicate label column 'bug'",
             ),
+            ("p.csv", "loc,bug\n1,0\n2,1\n", "p.csv: feature column 'cbo' not found"),
         ],
     )
     def test_repeated_selected_column_exits_2_without_traceback(
@@ -203,7 +226,8 @@ class TestIngest:
         config = {"datasets": [{"name": "p", "path": name, "feature_names": ["loc", "cbo"]}]}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert main(["ingest", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
-        assert message in capsys.readouterr().err
+        # ``message`` starts with the file's name, which follows its directory.
+        assert capsys.readouterr().err == f"data error: dataset 'p': {tmp_path}{os.sep}{message}\n"
 
 
 class TestRun:
@@ -269,6 +293,19 @@ class TestRun:
         results = (tmp_path / "rep" / "results.csv").read_text(encoding="utf-8")
         assert results.splitlines()[1:] == []
 
+    def test_a_program_fault_in_a_pair_is_raised_not_a_failure_row(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        from cpdp_ifs import predictors
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(predictors, "predict_proba", broken)
+        argv = ["run", "--config", str(corpus_dir / "config.json"), "--out", str(tmp_path)]
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            main(argv)
+
     def test_run_accepts_only_config_and_out(self, corpus_dir, capsys):
         for flag in (["--workers", "1"], ["--log-filter"]):
             code = main(["run", "--config", str(corpus_dir / "config.json"), *flag])
@@ -285,6 +322,19 @@ class TestRun:
         (tmp_path / "config.json").write_text('{"surprise": 1}', encoding="utf-8")
         code = main(["run", "--config", str(tmp_path / "config.json")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field", ["path", "output_dir"])
+    def test_nul_in_a_configured_path_exits_1(self, tmp_path, capsys, field):
+        # The operating system takes no path with a NUL in it.
+        config = {"datasets": [{"name": "p", "path": "p.csv"}], "output_dir": "report"}
+        where = config["datasets"][0] if field == "path" else config
+        where[field] = "p\0x"
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        label = "datasets[0]" if field == "path" else "config"
+        assert capsys.readouterr().err == (
+            f"config error: invalid {label} settings: {field} must not contain a NUL character\n"
+        )
 
 
 class TestCompare:
@@ -422,6 +472,27 @@ class TestCompare:
             f"data error: {path}: target 't1': 'a' - 'b' overflows the float range\n"
         )
         assert captured.out == ""
+
+    def test_results_without_common_targets_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "best_per_target.csv"
+        path.write_text("method,target,f_measure\na,t0,0.5\nb,t1,0.25\n", encoding="utf-8")
+        argv = ["compare", "--results", str(tmp_path), "--method-a", "a", "--method-b", "b"]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {path}: no common targets for the two methods\n"
+        assert captured.out == ""
+
+    def test_a_program_fault_in_compare_paired_is_raised_not_exit_2(self, tmp_path, monkeypatch):
+        import cpdp_ifs.stats
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(cpdp_ifs.stats, "compare_paired", broken)
+        path = tmp_path / "scores.csv"
+        path.write_text("a,b\n0.5,0.4\n0.6,0.3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            main(["compare", "--csv", str(path)])
 
     def test_results_same_method_twice_exits_1(self, report_dir, capsys):
         argv = ["compare", "--results", str(report_dir), "--method-a", "ifs_our",
@@ -696,6 +767,22 @@ class TestScoreTables:
             f"data error: {path}: data row 2: non-finite value {token!r} in column {column!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["ingest", "compare --csv"])
+    def test_cell_past_the_csv_field_limit_exits_2(self, tmp_path, capsys, command):
+        # The csv module refuses a field of more than 131072 characters.
+        path = tmp_path / "p.csv"
+        path.write_text(f"loc,bug\n{'1' * 200_000},0\n2,1\n", encoding="utf-8")
+        if command == "ingest":
+            config = {"datasets": [{"name": "p", "path": path.name}]}
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv, where = ["ingest", "--config", str(tmp_path / "config.json")], "dataset 'p': "
+        else:
+            argv, where = ["compare", "--csv", str(path)], ""
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {where}{path}: field larger than field limit (131072)\n"
+        )
+
     def test_compare_reads_a_data_file_as_ingest_does(self, tmp_path, capsys):
         # A BOM, spaces around header cells and a whitespace-only row.
         (tmp_path / "p.csv").write_text(
@@ -901,6 +988,37 @@ class TestUsage:
                 unused.extend(f"{path.name}:{node.lineno} {name}" for name in names
                               if name not in used)
         assert not unused, f"imported names the module never uses: {unused}"
+
+    # The functions in src/ whose except clause names ValueError: each reads a
+    # cell or a config object and catches the ValueError of float() or of a
+    # config type's own checks. Everywhere else a data fault is caught as
+    # DataError, so a ValueError of a program fault is never taken for one.
+    VALUE_ERROR_CATCHERS = {"binarize_label", "parse_number", "_parse_rows", "_read_object"}
+
+    def test_only_listed_functions_catch_value_error(self):
+        import ast
+
+        def catches(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from catches(child, child.name)
+                    continue
+                if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                    types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                    if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in types):
+                        yield function, child.lineno
+                yield from catches(child, function)
+
+        src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
+        used, unlisted = set(), []
+        for path in sorted(src.glob("*.py")):
+            for function, line in catches(ast.parse(path.read_text(encoding="utf-8")), ""):
+                if function in self.VALUE_ERROR_CATCHERS:
+                    used.add(function)
+                else:
+                    unlisted.append(f"{path.name}:{line} {function or '<module>'}")
+        assert not unlisted, f"except ValueError outside VALUE_ERROR_CATCHERS: {unlisted}"
+        assert used == self.VALUE_ERROR_CATCHERS
 
     # Each test that starts a child interpreter, by file and the qualified name
     # of its enclosing class or function, and why the process is the claim.

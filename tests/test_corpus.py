@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from cpdp_ifs.cli import EXIT_DATA, EXIT_OK, main
 
 from cpdp_ifs.corpus import (
-    DataFormatError,
+    DataError,
     FeatureSchema,
-    NoCommonMetricsError,
     Project,
     binarize_label,
     intersect_features,
@@ -51,11 +50,11 @@ class TestBinarizeLabel:
         assert binarize_label(token) == 0
 
     def test_unknown_token(self):
-        with pytest.raises(DataFormatError, match="unknown value token"):
+        with pytest.raises(DataError, match="unknown value token"):
             binarize_label("maybe")
 
     def test_non_finite(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError):
             binarize_label("nan")
 
 
@@ -73,11 +72,11 @@ class TestFeatureSchema:
         assert schema.canonical_names() == ("wmc",)
 
     def test_duplicate_after_canonicalization_rejected(self):
-        with pytest.raises(DataFormatError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             FeatureSchema(feature_names=("loc", "LOC"), label_column="bug")
 
     def test_label_among_features_rejected(self):
-        with pytest.raises(DataFormatError, match="label column"):
+        with pytest.raises(DataError, match="label column"):
             FeatureSchema(feature_names=("bug", "loc"), label_column="bug")
 
 
@@ -88,29 +87,29 @@ class TestProject:
             project.matrix[0, 0] = 9.0
 
     def test_non_binary_labels_rejected(self):
-        with pytest.raises(DataFormatError, match="binary"):
+        with pytest.raises(DataError, match="binary"):
             make_project(["a"], [[1.0], [2.0]], [0, 2])
 
     @pytest.mark.parametrize("labels", [[0.4, 1.0, 0.9], [256.0, 1.0, 0.0]])
     def test_labels_are_checked_before_the_int8_cast(self, labels):
         # The cast alone would read these as [0 1 0] and [0 1 0].
-        with pytest.raises(DataFormatError, match="binary"):
+        with pytest.raises(DataError, match="binary"):
             make_project(["a"], [[1.0], [2.0], [3.0]], labels)
 
     def test_label_count_mismatch_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError):
             make_project(["a"], [[1.0], [2.0]], [0, 1, 1])
 
     def test_schema_width_mismatch_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError):
             make_project(["a", "b"], [[1.0], [2.0]], [0, 1])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataFormatError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             make_project(["a"], [[np.nan], [2.0]], [0, 1])
 
     def test_empty_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError):
             make_project(["a"], np.empty((0, 1)), [])
 
 
@@ -128,7 +127,7 @@ class TestLoadCsv:
     def test_label_fault_names_the_file_and_row(self, tmp_path, cell, fault):
         path = tmp_path / "lab.csv"
         path.write_text(f"loc,bug\n1,0\n2,{cell}\n3,1\n", encoding="utf-8")
-        with pytest.raises(DataFormatError) as info:
+        with pytest.raises(DataError) as info:
             load_csv(path, FeatureSchema(label_column="bug"))
         assert str(info.value) == f"{path}: data row 2: {fault}"
 
@@ -155,43 +154,43 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="empty file"):
+        with pytest.raises(DataError, match="empty file"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("a,bug\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="empty file"):
+        with pytest.raises(DataError, match="empty file"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="label column"):
+        with pytest.raises(DataError, match="label column"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,bug\nx,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="non-numeric"):
+        with pytest.raises(DataError, match="non-numeric"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,bug\n1,2,0\n1,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="cells"):
+        with pytest.raises(DataError, match="cells"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_duplicate_feature_names(self, tmp_path):
         path = tmp_path / "dupe.csv"
         path.write_text("a,A,bug\n1,2,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_non_finite_cell(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("a,bug\ninf,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             load_csv(path, FeatureSchema(label_column="bug"))
 
     def test_utf8_bom_not_part_of_first_name(self, tmp_path):
@@ -211,7 +210,7 @@ class TestLoadArff:
             f"@data\n1,0\n2,{cell}\n3,1\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError) as info:
+        with pytest.raises(DataError) as info:
             load_arff(path, FeatureSchema(label_column="bug"))
         assert str(info.value) == f"{path}: data row 2: {fault}"
 
@@ -253,7 +252,7 @@ class TestLoadArff:
             "@relation a\n@attribute x numeric\n@attribute bug {0,1}\n@data\n1\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="row arity mismatch"):
+        with pytest.raises(DataError, match="row arity mismatch"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_missing_value_rejected(self, tmp_path):
@@ -262,7 +261,7 @@ class TestLoadArff:
             "@relation a\n@attribute x numeric\n@attribute bug {0,1}\n@data\n?,1\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="missing value"):
+        with pytest.raises(DataError, match="missing value"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_sparse_rows_rejected(self, tmp_path):
@@ -271,7 +270,7 @@ class TestLoadArff:
             "@relation a\n@attribute x numeric\n@attribute bug {0,1}\n@data\n{0 1, 1 1}\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="sparse"):
+        with pytest.raises(DataError, match="sparse"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_nominal_feature_rejected(self, tmp_path):
@@ -281,7 +280,7 @@ class TestLoadArff:
             "@attribute bug {0,1}\n@data\na,1,0\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="nominal"):
+        with pytest.raises(DataError, match="nominal"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_unknown_nominal_label_token(self, tmp_path):
@@ -290,13 +289,13 @@ class TestLoadArff:
             "@relation a\n@attribute x numeric\n@attribute bug {clean,buggy}\n@data\n1,broken\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="unknown value token"):
+        with pytest.raises(DataError, match="unknown value token"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_missing_data_section(self, tmp_path):
         path = tmp_path / "nodata.arff"
         path.write_text("@relation a\n@attribute x numeric\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="@data"):
+        with pytest.raises(DataError, match="@data"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_utf8_bom_before_relation(self, tmp_path):
@@ -312,7 +311,7 @@ class TestLoadArff:
     def test_missing_relation(self, tmp_path):
         path = tmp_path / "norel.arff"
         path.write_text("@attribute x numeric\n@attribute bug {0,1}\n@data\n1,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="@relation"):
+        with pytest.raises(DataError, match="@relation"):
             load_arff(path, FeatureSchema(label_column="bug"))
 
     def test_roundtrip_matches_csv(self, tmp_path):
@@ -347,7 +346,7 @@ def test_a_cell_or_column_fault_names_its_file(tmp_path, capsys, suffix, cells, 
     else:
         declared = "".join(f"@attribute {c} numeric\n" for c in columns)
         path.write_text(f"@relation a\n{declared}@data\n{row}\n", encoding="utf-8")
-    with pytest.raises(DataFormatError) as info:
+    with pytest.raises(DataError) as info:
         (load_csv if suffix == ".csv" else load_arff)(path, FeatureSchema(label_column="bug"))
     assert str(info.value) == f"{path}: {fault}"
     (tmp_path / "config.json").write_text(
@@ -417,7 +416,7 @@ def _loaded(loader, path, schema):
             matrix, labels, names = project
             project = Project(path.stem, "default", replace(schema, feature_names=tuple(names)),
                               matrix, labels)
-    except DataFormatError as exc:
+    except DataError as exc:
         return str(exc)
     return project.matrix.tobytes(), project.labels.tobytes(), project.schema.feature_names
 
@@ -500,7 +499,7 @@ class TestIngestParsesAsLoaders:
             line = (f"p: family=default instances={s.instance_count} defects={s.defect_count} "
                     f"defect_ratio={s.defect_ratio:.3f} metrics={s.metric_count}\n")
             want = (EXIT_OK, line, "")
-        except DataFormatError as exc:
+        except DataError as exc:
             want = (EXIT_DATA, "", f"data error: dataset 'p': {exc}\n")
         assert _ingest(path, schema) == want
 
@@ -591,7 +590,7 @@ class TestIntersectFeatures:
     def test_disjoint_raises(self):
         a = make_project(["a1"], [[1], [2]], [0, 1], name="a")
         b = make_project(["b1"], [[3], [4]], [0, 1], name="b")
-        with pytest.raises(NoCommonMetricsError, match="no common metrics"):
+        with pytest.raises(DataError, match="no common metrics"):
             intersect_features(a, b)
 
     @given(st.data())
@@ -603,7 +602,7 @@ class TestIntersectFeatures:
         b = make_project(b_names, np.arange(8.0, 16.0).reshape(2, 4), [0, 1], name="b")
         common = set(a_names) & set(b_names)
         if not common:
-            with pytest.raises(NoCommonMetricsError):
+            with pytest.raises(DataError):
                 intersect_features(a, b)
             return
         names, a_cols, b_cols = intersect_features(a, b)

@@ -28,7 +28,6 @@ from cpdp_ifs import predictors
 from cpdp_ifs.cli import main as cli_main
 from cpdp_ifs.config import (
     ConfigError,
-    DataError,
     DatasetSpec,
     ExperimentConfig,
     config_hash,
@@ -38,6 +37,7 @@ from cpdp_ifs.config import (
 from cpdp_ifs.corpus import (
     DPR_APPROPRIATE_MAX,
     DPR_IMPROVEMENT_THRESHOLD,
+    DataError,
     Project,
     intersect_features,
     summarize,
@@ -478,6 +478,20 @@ class TestRunPlan:
         assert "one class" in failure.error
         # the healthy direction still completed
         assert len(bundle.outcomes) == 1
+
+    # A DataError ends its pair in a failure row; any other ValueError is a
+    # program fault, which no pair may record as a property of the data.
+    # ``train`` runs through the RunMemo, ``predict_proba`` does not.
+    @pytest.mark.parametrize("stage", ["predict_proba", "train"])
+    def test_a_program_fault_in_a_pair_is_raised(self, tmp_path, monkeypatch, stage):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(predictors, stage, broken)
+        config = load_config(self.two_project_config(tmp_path))
+        with pytest.raises(ValueError, match="operands could not be broadcast") as info:
+            run_plan(config)
+        assert not isinstance(info.value, DataError)
 
     def test_colliding_model_file_names_exit_1_before_any_pair_runs(
         self, tmp_path, capsys, monkeypatch

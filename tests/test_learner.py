@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cpdp_ifs import learner
+from cpdp_ifs.corpus import DataError
 from cpdp_ifs.learner import (
-    DegenerateTrainingError,
     LearnerParams,
     Model,
     TrainingMeta,
@@ -83,7 +83,7 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         X = np.array([[1.0], [2.0]])
-        with pytest.raises(DegenerateTrainingError, match="degenerate training set"):
+        with pytest.raises(DataError, match="degenerate training set"):
             train(X, np.array([1, 1]), ["x"])
 
     def test_objective_history_non_increasing(self):
@@ -180,7 +180,7 @@ class TestTrain:
                 X, y, params.ridge, params.max_iterations, params.tolerance
             )
         except ValueError as exc:
-            with pytest.raises(DegenerateTrainingError, match=re.escape(str(exc))):
+            with pytest.raises(DataError, match=re.escape(str(exc))):
                 train(X, y, names, params)
             return
         model = train(X, y, names, params)
@@ -339,7 +339,7 @@ class TestPredictProba:
     def test_non_finite_features_rejected(self, cell):
         # As ``train`` refuses them: every probability would be NaN.
         model = identity_model([0.5, -0.25])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             predict_proba(model, np.array([[1.0, 2.0], [cell, 0.0]]))
 
     def test_one_instance_is_a_one_row_matrix(self):

@@ -3,8 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cpdp_ifs.corpus import FeatureSchema, NoCommonMetricsError, Project
-from cpdp_ifs.learner import DegenerateTrainingError
+from cpdp_ifs.corpus import DataError, FeatureSchema, Project
 from cpdp_ifs.predictors import (
     Method,
     PredictionOutcome,
@@ -79,7 +78,7 @@ class TestRunCpdpPure:
     def test_schema_mismatch_rejected(self):
         a = project_of("a", "f1", ["x", "y"], [[1, 2], [3, 4], [5, 6]], [0, 1, 0])
         b = project_of("b", "f2", ["x", "z"], [[1, 2], [3, 4], [5, 6]], [0, 1, 0])
-        with pytest.raises(ValueError, match="feature sets differ; use an IFS method"):
+        with pytest.raises(DataError, match="feature sets differ; use an IFS method"):
             run_cpdp_pure(a, b)
 
     def test_same_project_rejected(self, same_schema_pair):
@@ -93,7 +92,7 @@ class TestRunCpdpPure:
         source = project_of("mono", "fam", names,
                             np.ones((4, len(names))) * np.arange(1, 5)[:, None],
                             [0, 0, 0, 0])
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(DataError):
             run_cpdp_pure(source, target)
 
     def test_above_random_baseline_on_shared_distribution(self):
@@ -131,7 +130,7 @@ class TestRunIfsMin:
     def test_disjoint_schemas_rejected(self):
         a = project_of("a", "f1", ["x"], [[1], [2], [3]], [0, 1, 0])
         b = project_of("b", "f2", ["y"], [[1], [2], [3]], [0, 1, 0])
-        with pytest.raises(NoCommonMetricsError, match="no common metrics"):
+        with pytest.raises(DataError, match="no common metrics"):
             run_ifs_min(a, b)
 
 
@@ -365,7 +364,7 @@ class TestRunMemo:
         def compute(key):
             calls[key] += 1
             if key % 3 == 0:
-                raise ValueError(f"bad {key}")
+                raise DataError(f"bad {key}")
             return 10 * key
 
         got = []
@@ -373,7 +372,7 @@ class TestRunMemo:
             for key in range(6):
                 try:
                     got.append((key, memo.get(key, lambda: compute(key))))
-                except ValueError as exc:
+                except DataError as exc:
                     got.append((key, str(exc)))
         assert calls == Counter(range(6))
         assert got == [(k, f"bad {k}" if k % 3 == 0 else 10 * k) for k in range(6)] * 3

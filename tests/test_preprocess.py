@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpdp_ifs.corpus import DataError
 from cpdp_ifs.preprocess import PreprocessConfig, log_filter, preprocess_matrix, zscore
 
 
@@ -20,7 +21,7 @@ class TestLogFilter:
         assert log_filter(np.array([[0.0]]))[0, 0] == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="log filter undefined for negative values"):
+        with pytest.raises(DataError, match="log filter undefined for negative values"):
             log_filter(np.array([[1.0, -0.5]]))
 
     def test_input_not_mutated(self):
@@ -52,11 +53,11 @@ class TestZscore:
         matrix = np.array([column, [1.0, 2.0, 3.0, 4.0]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="column statistics overflow the float range"):
+            with pytest.raises(DataError, match="column statistics overflow the float range"):
                 zscore(matrix)
 
     def test_single_row_rejected(self):
-        with pytest.raises(ValueError, match="insufficient rows for normalization"):
+        with pytest.raises(DataError, match="insufficient rows for normalization"):
             zscore(np.array([[1.0, 2.0]]))
 
     def test_standardized_input_unchanged(self):

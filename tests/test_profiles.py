@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cpdp_ifs.corpus import FeatureSchema, Project
+from cpdp_ifs.corpus import DataError, FeatureSchema, Project
 from cpdp_ifs.preprocess import PreprocessConfig
 from cpdp_ifs.profiles import (
     INDICATOR_NAMES,
@@ -129,7 +129,7 @@ class TestCharacterizeInstance:
             characterize_instance([])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             characterize_instance([1.0, np.nan])
 
     def test_mode_groups_within_tolerance(self):

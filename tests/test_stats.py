@@ -22,7 +22,7 @@ from cpdp_ifs.stats import (
     _student_t_two_sided_p,
 )
 
-from cpdp_ifs.corpus import dpr
+from cpdp_ifs.corpus import DataError, dpr
 
 from oracles import wilcoxon_exact_oracle
 
@@ -159,7 +159,7 @@ class TestDpr:
         assert abs(dpr(0.223, 0.464) - 0.48) < 0.01
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ValueError, match="DPR undefined"):
+        with pytest.raises(DataError, match="DPR undefined"):
             dpr(0.2, 0.0)
 
     def test_out_of_range_rejected(self):
@@ -241,7 +241,7 @@ class TestWilcoxonExactGoldens:
         assert result.n_effective == 2
 
     def test_all_zero_differences_rejected(self):
-        with pytest.raises(ValueError, match="degenerate pairing"):
+        with pytest.raises(DataError, match="degenerate pairing"):
             wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
 
     def test_unknown_method_rejected(self):
@@ -254,14 +254,14 @@ class TestWilcoxonExactGoldens:
         x = [1e308, -1e308, 0.5, 0.1, 0.7]
         y = [-1e308, 1e308, 0.25, 0.3, 0.2]
         with np.errstate(all="raise"):
-            with pytest.raises(ValueError, match="paired differences must lie within the float range"):
+            with pytest.raises(DataError, match="paired differences must lie within the float range"):
                 wilcoxon_signed_rank(x, y, method=method)
 
     def test_exact_refuses_more_than_200_pairs_before_building_a_table(self, monkeypatch):
         monkeypatch.setattr(stats, "_exact_two_sided_p", lambda *args: pytest.fail("table built"))
         x, y = np.arange(1.0, 202.0), np.zeros(201)
         refusal = "at most 200 effective pairs, got 201; use method 'asymptotic'"
-        with pytest.raises(ValueError, match=refusal):
+        with pytest.raises(DataError, match=refusal):
             wilcoxon_signed_rank(x, y, method="exact")
         for method in ("auto", "asymptotic"):
             assert wilcoxon_signed_rank(x, y, method=method).method_used == "asymptotic"
@@ -412,7 +412,7 @@ class TestPearson:
         assert round(r, 3) == 0.982
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
+        with pytest.raises(DataError, match="zero variance"):
             pearson(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_too_few_pairs_rejected(self):
