@@ -139,10 +139,11 @@ def run_plan(config: ExperimentConfig):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.out == "":
-        raise ConfigError("--out must not be empty")
     if args.out is not None:
-        config = dataclasses.replace(config, output_dir=args.out)
+        try:
+            config = dataclasses.replace(config, output_dir=args.out)
+        except ValueError as exc:  # the config type's own checks
+            raise ConfigError(f"invalid --out: {exc}") from None
     out_dir = Path(config.output_dir)
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():

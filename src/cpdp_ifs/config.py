@@ -82,7 +82,7 @@ class DatasetSpec:
     path: str
     family: str = "default"
     format: str = ""
-    label_column: str = "bug"
+    label_column: str = FeatureSchema.label_column
     feature_names: tuple[str, ...] = ()
     alias_map: Mapping[str, str] = field(default_factory=dict)
 

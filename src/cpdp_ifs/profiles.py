@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from cpdp_ifs.config import PreprocessConfig
 from cpdp_ifs.corpus import DataError, FeatureSchema, Project
-from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix
+from cpdp_ifs.preprocess import preprocess_matrix
 from cpdp_ifs.stats import sorted_quantiles
 
 INDICATOR_NAMES: tuple[str, ...] = (

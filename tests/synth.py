@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from cpdp_ifs.config import LearnerParams
 from cpdp_ifs.corpus import FeatureSchema, Project
-from cpdp_ifs.learner import LearnerParams, Model, TrainingMeta
+from cpdp_ifs.learner import Model, TrainingMeta
 from make_demo_corpus import planted_matrix, write_arff, write_csv
 
 

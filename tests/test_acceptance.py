@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpdp_ifs.config import LearnerParams, Method, PreprocessConfig
 from cpdp_ifs.corpus import FeatureSchema, Project, dpr
 from cpdp_ifs.learner import (
-    LearnerParams,
     _expit,
     _gradient_at,
     apply_threshold,
@@ -23,7 +23,6 @@ from cpdp_ifs.learner import (
     train,
 )
 from cpdp_ifs.predictors import (
-    Method,
     PredictionOutcome,
     enumerate_pairs,
     run_cpdp_pure,
@@ -31,7 +30,7 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.preprocess import PreprocessConfig, preprocess_matrix, zscore
+from cpdp_ifs.preprocess import preprocess_matrix, zscore
 from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_instance, characterize_project
 from cpdp_ifs.stats import (
     ConfusionMatrix,

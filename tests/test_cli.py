@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdp_ifs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 
@@ -323,18 +328,126 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "config.json")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("field", ["path", "output_dir"])
-    def test_nul_in_a_configured_path_exits_1(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field, prefix", [
+        ("path", "invalid datasets[0] settings: path"),
+        ("output_dir", "invalid config settings: output_dir"),
+        ("--out", "invalid --out: output_dir"),
+    ], ids=["path", "output_dir", "--out"])
+    def test_nul_in_a_configured_path_exits_1(self, tmp_path, capsys, field, prefix):
         # The operating system takes no path with a NUL in it.
         config = {"datasets": [{"name": "p", "path": "p.csv"}], "output_dir": "report"}
-        where = config["datasets"][0] if field == "path" else config
-        where[field] = "p\0x"
+        argv = ["run", "--config", str(tmp_path / "config.json")]
+        if field == "--out":
+            argv += ["--out", "r\0x"]
+        else:
+            (config["datasets"][0] if field == "path" else config)[field] = "p\0x"
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
-        label = "datasets[0]" if field == "path" else "config"
+        assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config error: invalid {label} settings: {field} must not contain a NUL character\n"
+            f"config error: {prefix} must not contain a NUL character\n"
         )
+
+
+class TestRunFaultInjection:
+    """One fault in a valid 3-project corpus stops ``run`` before any pair
+    trains: exit 1 or 2, one stderr line naming where the fault is, no report."""
+
+    HEADER = ("wmc", "loc", "cbo", "bug")
+    ROWS = 6
+
+    @classmethod
+    def tables(cls) -> dict[str, list[list[str]]]:
+        return {
+            f"p{k}": [list(cls.HEADER)] + [
+                [str(1 + i + k), str(10 * (i + 1)), str((i * 7 + k) % 5), str(int(i % 3 == 0))]
+                for i in range(cls.ROWS)
+            ]
+            for k in range(3)
+        }
+
+    @classmethod
+    def run_with(cls, tmp: Path, fault=None) -> tuple[int, str, str, str]:
+        """``run`` over the corpus with ``fault`` applied: its exit code,
+        stdout, stderr and the text its one stderr line must contain."""
+        tables = cls.tables()
+        config = {"datasets": [{"name": name, "path": f"{name}.csv"} for name in tables],
+                  "methods": ["cpdp_pure"], "learner": {}, "preprocessing": {}}
+        out, where, bad_byte = tmp / "report", "", None
+        kind, *args = fault or (None,)
+        if kind in ("cell", "short", "label", "repeat", "byte"):
+            where = f"{tmp / args[0]}.csv: "
+        if kind == "cell":
+            project, row, column, value = args
+            tables[project][row][column] = value
+            where += f"data row {row}: "
+        elif kind == "short":
+            project, row = args
+            tables[project][row].pop()
+            where += f"data row {row}: "
+        elif kind == "label":
+            tables[args[0]][0][-1] = "defects"
+        elif kind == "repeat":
+            project, copied, to = args
+            tables[project][0][to] = tables[project][0][copied]
+        elif kind == "byte":
+            bad_byte = args
+        elif kind in ("unknown_key", "typed_key"):
+            path, value = args
+            parent, _, key = path.rpartition(".")
+            holders = {"": config, "datasets[1]": config["datasets"][1]}
+            holders.get(parent, config.get(parent))[key] = value
+            where = (f"{parent or 'config'} has unknown keys: [{key!r}]" if kind == "unknown_key"
+                     else f"{path} must be")
+        elif kind == "out_through_file":
+            (tmp / "afile").write_text("keep\n", encoding="utf-8")
+            out, where = tmp / "afile" / "report", f"{str(tmp / 'afile')!r}"
+        for name, rows in tables.items():
+            lines = [",".join(row).encode("utf-8") for row in rows]
+            if bad_byte and bad_byte[0] == name:
+                lines[bad_byte[1]] = b"\xff" + lines[bad_byte[1]]
+            (tmp / f"{name}.csv").write_bytes(b"\n".join(lines) + b"\n")
+        (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(tmp / "config.json"), "--out", str(out)])
+        return code, stdout.getvalue(), stderr.getvalue(), where
+
+    projects = st.sampled_from(["p0", "p1", "p2"])
+    rows = st.integers(1, ROWS)
+    faults = st.one_of(
+        st.tuples(st.just("cell"), projects, rows, st.integers(0, len(HEADER) - 1),
+                  st.sampled_from(["nan", "1e999", "2#x", ""])),
+        st.tuples(st.just("short"), projects, rows),
+        st.tuples(st.just("byte"), projects, st.integers(0, ROWS)),
+        st.tuples(st.just("label"), projects),
+        st.tuples(st.just("repeat"), projects, *[st.integers(0, len(HEADER) - 1)] * 2).filter(
+            lambda fault: fault[2] != fault[3]),
+        st.tuples(st.just("unknown_key"),
+                  st.sampled_from(["seed", "datasets[1].colour", "learner.steps"]), st.just(1)),
+        st.tuples(st.just("typed_key"), st.sampled_from([
+            ("workers", "2"), ("workers", True), ("datasets[1].family", 3),
+            ("learner.ridge", "x"), ("preprocessing.log_filter", 1), ("methods", "cpdp_pure"),
+        ])).map(lambda fault: (fault[0], *fault[1])),
+        st.just(("out_through_file",)),
+    )
+
+    def test_the_unfaulted_corpus_runs(self, tmp_path):
+        code, out, err, _ = self.run_with(tmp_path)
+        assert (code, err) == (EXIT_OK, "")
+        assert (tmp_path / "report" / "results.csv").exists()
+
+    @settings(max_examples=40)
+    @given(fault=faults)
+    def test_one_fault_exits_with_one_line_and_no_report(self, fault):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            code, out, err, where = self.run_with(tmp, fault)
+            data_fault = fault[0] in ("cell", "short", "byte", "label", "repeat")
+            assert code == (EXIT_DATA if data_fault else EXIT_CONFIG), (code, err)
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+            assert where in err and "Traceback" not in err, (where, err)
+            assert {p.name for p in tmp.iterdir()} <= {
+                "p0.csv", "p1.csv", "p2.csv", "config.json", "afile"}
 
 
 class TestCompare:
@@ -916,8 +1029,7 @@ class TestUsage:
             assert "__post_init__" in vars(obj) or obj in config_types, name
 
     def test_every_private_helper_is_used_in_src(self):
-        # A private function or class that only tests reach is dead code. A
-        # dunder such as the package's __getattr__ is called by the interpreter.
+        # A private function or class that only tests reach is dead code.
         import ast
 
         src = Path(__file__).resolve().parents[1] / "src" / "cpdp_ifs"
@@ -931,8 +1043,7 @@ class TestUsage:
         unused = [
             f"{file}: {node.name}" for file, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.endswith("__")
-            and node.name not in used
+            and node.name.startswith("_") and node.name not in used
         ]
         assert not unused, f"private helpers nothing in src/ uses: {unused}"
 
@@ -989,11 +1100,47 @@ class TestUsage:
                               if name not in used)
         assert not unused, f"imported names the module never uses: {unused}"
 
+    def test_every_name_is_imported_from_its_home(self):
+        # Each name has one home: ``from cpdp_ifs[.M] import N`` binds N from
+        # the module whose top level defines it, or N is a submodule.
+        import ast
+
+        root = Path(__file__).resolve().parents[1]
+        modules = sorted((root / "src" / "cpdp_ifs").glob("*.py"))
+        # The names each module's top level defines, by module ("" for the
+        # package, which also holds its submodules).
+        defined = {"": {path.stem for path in modules}}
+        for path in modules:
+            names = defined.setdefault("" if path.stem == "__init__" else path.stem, set())
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+
+        misplaced = []
+        for tree_dir in ("src", "tests", "scripts"):
+            for path in sorted((root / tree_dir).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                            and (node.module or "").split(".")[0] == "cpdp_ifs"):
+                        continue
+                    module = node.module.partition(".")[2]
+                    misplaced.extend(
+                        f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+                        for alias in node.names if alias.name not in defined[module]
+                    )
+        assert not misplaced, f"names imported from a module that does not define them: {misplaced}"
+
     # The functions in src/ whose except clause names ValueError: each reads a
-    # cell or a config object and catches the ValueError of float() or of a
-    # config type's own checks. Everywhere else a data fault is caught as
-    # DataError, so a ValueError of a program fault is never taken for one.
-    VALUE_ERROR_CATCHERS = {"binarize_label", "parse_number", "_parse_rows", "_read_object"}
+    # cell or a config object, or sets run --out on one, and catches the
+    # ValueError of float() or of a config type's own checks. Everywhere else a
+    # data fault is caught as DataError, so a ValueError of a program fault is
+    # never taken for one.
+    VALUE_ERROR_CATCHERS = {
+        "binarize_label", "parse_number", "_parse_rows", "_read_object", "_cmd_run",
+    }
 
     def test_only_listed_functions_catch_value_error(self):
         import ast
@@ -1077,6 +1224,17 @@ class TestUsage:
         (library,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
         exec(compile(library, "README.md", "exec"), {})
         assert capsys.readouterr().out == "0.6666666666666666 [0 0 1 1]\n"
+
+    def test_version_is_read_from_the_package(self):
+        # One home: the build reads cpdp_ifs.__version__, which each manifest records.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in declared["project"]
+        assert declared["project"]["dynamic"] == ["version"]
+        assert declared["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "cpdp_ifs.__version__"
+        }
 
     def test_console_script_help(self):
         result = subprocess.run(

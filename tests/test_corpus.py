@@ -614,9 +614,3 @@ class TestIntersectFeatures:
         ordered = [n for n in a.schema.canonical_names() if n in common]
         assert list(names) == ordered
 
-
-def test_every_exported_name_resolves():
-    import cpdp_ifs
-
-    missing = [name for name in cpdp_ifs.__all__ if not hasattr(cpdp_ifs, name)]
-    assert missing == []

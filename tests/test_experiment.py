@@ -30,6 +30,7 @@ from cpdp_ifs.config import (
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
+    Method,
     config_hash,
     load_config,
     parse_config,
@@ -43,7 +44,6 @@ from cpdp_ifs.corpus import (
     summarize,
 )
 from cpdp_ifs.predictors import (
-    Method,
     PredictionOutcome,
     RunMemo,
     enumerate_pairs,
@@ -543,7 +543,7 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("output_dir,out,message", [
         ("", [], "invalid config settings: output_dir must not be empty"),
-        ("report", ["--out", ""], "--out must not be empty"),
+        ("report", ["--out", ""], "invalid --out: output_dir must not be empty"),
     ], ids=["output_dir", "--out"])
     def test_empty_output_path_exits_1_before_any_pair_runs(
         self, tmp_path, capsys, monkeypatch, output_dir, out, message

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cpdp_ifs import learner
+from cpdp_ifs.config import LearnerParams
 from cpdp_ifs.corpus import DataError
 from cpdp_ifs.learner import (
-    LearnerParams,
     Model,
     TrainingMeta,
     _expit,

@@ -20,9 +20,8 @@ import statistics
 
 import pytest
 
-from cpdp_ifs.config import load_config
+from cpdp_ifs.config import Method, load_config
 from cpdp_ifs.experiment import run_plan
-from cpdp_ifs.predictors import Method
 
 import paper_corpus
 

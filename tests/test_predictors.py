@@ -3,9 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cpdp_ifs.config import Method, PreprocessConfig
 from cpdp_ifs.corpus import DataError, FeatureSchema, Project
 from cpdp_ifs.predictors import (
-    Method,
     PredictionOutcome,
     RunMemo,
     enumerate_pairs,
@@ -14,7 +14,6 @@ from cpdp_ifs.predictors import (
     run_ifs_our,
     run_mix,
 )
-from cpdp_ifs.preprocess import PreprocessConfig
 from cpdp_ifs.profiles import INDICATOR_NAMES, characterize_project
 from cpdp_ifs.stats import ConfusionMatrix, prf
 

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpdp_ifs.config import PreprocessConfig
 from cpdp_ifs.corpus import DataError
-from cpdp_ifs.preprocess import PreprocessConfig, log_filter, preprocess_matrix, zscore
+from cpdp_ifs.preprocess import log_filter, preprocess_matrix, zscore
 
 
 class TestLogFilter:

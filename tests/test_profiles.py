@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpdp_ifs.config import PreprocessConfig
 from cpdp_ifs.corpus import DataError, FeatureSchema, Project
-from cpdp_ifs.preprocess import PreprocessConfig
 from cpdp_ifs.profiles import (
     INDICATOR_NAMES,
     characterize_instance,

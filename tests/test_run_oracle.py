@@ -14,10 +14,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdp_ifs.config import DatasetSpec, ExperimentConfig
+from cpdp_ifs.config import DatasetSpec, ExperimentConfig, Method
 from cpdp_ifs.corpus import FeatureSchema, Project, dpr
 from cpdp_ifs.experiment import ComparisonRow, run_plan
-from cpdp_ifs.predictors import Method, run_cpdp_pure, run_ifs_min, run_ifs_our, run_mix
+from cpdp_ifs.predictors import run_cpdp_pure, run_ifs_min, run_ifs_our, run_mix
 from cpdp_ifs.stats import compare_paired, pearson
 
 from oracles import reference_best_sources
